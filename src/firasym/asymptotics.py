@@ -21,7 +21,6 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .errors import (
     DegenerateBoundWarning,
-    NotPositiveDefiniteError,
     OutOfBoxError,
     SingularHessianWarning,
 )
@@ -29,7 +28,7 @@ from .estimators import (
     EbFit,
     KernelSpec,
     OptimizerOptions,
-    _kernel_value,
+    _reduced_cost_grad,
     kernel_matrix,
     minimize_box,
 )
@@ -270,33 +269,10 @@ def second_order_stats(filt: FilterSpec, n: int) -> SecondOrderStats:
 def prior_fit_cost(
     eta: np.ndarray, theta0: np.ndarray, spec: KernelSpec
 ) -> tuple[float, np.ndarray]:
-    """Limit criterion theta0' P^-1 theta0 + logdet P and its gradient."""
+    """Limit criterion theta0' P^-1 theta0 + logdet P and its gradient: the
+    reduced cost with a zero noise term."""
     n = theta0.size
-    P, dP, _ = kernel_matrix(spec, np.asarray(eta, float), n)
-    try:
-        factor = cho_factor(P, lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "kernel matrix is numerically singular at this eta"
-        ) from None
-    z = cho_solve(factor, theta0)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    value = float(theta0 @ z) + logdet
-    p_inv = cho_solve(factor, np.eye(n))
-    grad = np.array([-z @ dP[k] @ z + np.sum(p_inv * dP[k]) for k in range(spec.p)])
-    return value, grad
-
-
-def _prior_fit_value(eta: np.ndarray, theta0: np.ndarray, spec: KernelSpec) -> float:
-    S = _kernel_value(spec, np.asarray(eta, float), theta0.size)
-    try:
-        factor = cho_factor(S, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "kernel matrix is numerically singular at this eta"
-        ) from None
-    z = cho_solve(factor, theta0, check_finite=False)
-    return float(theta0 @ z) + 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    return _reduced_cost_grad(np.asarray(eta, float), theta0, np.zeros((n, n)), spec)
 
 
 def eta_star(
@@ -312,12 +288,8 @@ def eta_star(
                 f"analytic ridge optimum {value} outside box {spec.omega.tolist()}"
             )
         return np.array([value])
-    eta, _, _ = minimize_box(
-        lambda e: prior_fit_cost(e, theta0, spec),
-        spec,
-        opts,
-        fun_value=lambda e: _prior_fit_value(e, theta0, spec),
-    )
+    n = theta0.size
+    eta, _, _ = minimize_box(theta0, np.zeros((n, n)), spec, opts)
     return eta
 
 

@@ -21,7 +21,12 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import asymptotic_report, ridge_report, sigma_matrix
-from .errors import ConfigError, FirasymError, SingularHessianWarning
+from .errors import (
+    ConfigError,
+    DegenerateBoundWarning,
+    FirasymError,
+    SingularHessianWarning,
+)
 from .estimators import KernelSpec, OptimizerOptions
 from .montecarlo import (
     ExperimentConfig,
@@ -167,14 +172,18 @@ def _theta0_from_config(cfg: dict, n_hint, seed: int) -> np.ndarray:
 
 
 def _optimizer_from_config(cfg: dict) -> OptimizerOptions:
+    known = ("starts", "max_iters", "tol_cost")
+    for key in _field(cfg, "optimizer", dict, required=False, default={}):
+        if key not in known:
+            raise ConfigError(f"unknown field: optimizer.{key}")
+    starts = _field(cfg, "optimizer.starts", int, required=False, default=3)
+    if starts < 1:
+        raise ConfigError("field optimizer.starts: expected >= 1")
     return OptimizerOptions(
-        starts=_field(cfg, "optimizer.starts", int, required=False, default=8),
+        starts=starts,
         max_iters=_field(cfg, "optimizer.max_iters", int, required=False, default=400),
         tol_cost=_field(
             cfg, "optimizer.tol_cost", float, required=False, default=1e-12
-        ),
-        tol_step=_field(
-            cfg, "optimizer.tol_step", float, required=False, default=1e-10
         ),
     )
 
@@ -276,7 +285,8 @@ def cmd_table1(args) -> int:
 
 
 def _first_decrease(values: list[float]) -> int:
-    """1-based index of the first strict decrease, or len(values) if none."""
+    """1-based index of the first step that does not increase (a decrease or
+    a tie), or len(values) if none."""
     for i in range(len(values) - 1):
         if values[i + 1] - values[i] <= 0.0:
             return i + 1
@@ -412,15 +422,27 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is None:
         args.seed = 0 if args.command in ("table1", "sweep") else None
     os.makedirs(args.out, exist_ok=True)
+    # --strict escalates the package's numerical warnings and numpy's
+    # floating-point errors (underflow stays silent: it is routine in kernels)
+    strict_fp = "raise" if args.strict else "warn"
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(
+            divide=strict_fp, over=strict_fp, invalid=strict_fp
+        ):
             if args.strict:
                 warnings.simplefilter("error", SingularHessianWarning)
+                warnings.simplefilter("error", DegenerateBoundWarning)
             return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FirasymError, SingularHessianWarning, np.linalg.LinAlgError) as exc:
+    except (
+        FirasymError,
+        SingularHessianWarning,
+        DegenerateBoundWarning,
+        FloatingPointError,
+        np.linalg.LinAlgError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

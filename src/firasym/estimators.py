@@ -9,8 +9,9 @@ The hyper-parameter cost is evaluated in its reduced n x n form
 which differs from the full N x N marginal-likelihood objective only by an
 eta-independent constant, so both have the same minimizer.  The search runs
 in transformed coordinates (log for positive parameters, logit for decay
-rates, atanh for correlations): a multi-start simplex stage followed by a
-bound-constrained gradient polish.
+rates, atanh for correlations): the cost is evaluated on a fixed lattice in
+one batched factorization, and the best lattice points are polished with
+analytic-gradient L-BFGS-B and analytic-Hessian Newton steps.
 """
 
 from __future__ import annotations
@@ -21,14 +22,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from .errors import NotPositiveDefiniteError, OutOfBoxError, RankDeficientError
 from .signals import Dataset
 
 _FAMILIES = ("ridge", "tc", "dc", "ss")
 
-# Per-coordinate transforms used by the optimizer.
+# Per-coordinate transforms used by the optimizer: kind -> (to internal,
+# from internal).
+_TRANSFORMS = {
+    "log": (np.log, np.exp),
+    "logit": (logit, expit),
+    "atanh": (np.arctanh, np.tanh),
+}
 _COORD_KINDS = {
     "ridge": ("log",),
     "tc": ("log", "logit"),
@@ -43,6 +50,9 @@ _DEFAULT_BOXES = {
     "ss": ((1e-9, 1e9), (1e-6, 1.0 - 1e-6)),
     "dc": ((1e-9, 1e9), (1e-6, 1.0 - 1e-6), (-1.0 + 1e-6, 1.0 - 1e-6)),
 }
+
+# Scan lattice points per transformed axis, by the number of hyper-parameters.
+_SCAN_POINTS = {1: 32, 2: 16, 3: 8}
 
 _COST_ON_FAILURE = 1e100
 
@@ -93,11 +103,11 @@ class KernelSpec:
         return _COORD_KINDS[self.family]
 
     def contains(self, eta: np.ndarray) -> bool:
+        """Whether eta, one point (p,) or a stack (..., p), lies in the box."""
         eta = np.asarray(eta, dtype=float)
-        if eta.shape != (self.p,):
+        if eta.ndim == 0 or eta.shape[-1] != self.p:
             return False
-        box = self.omega
-        return all(box[k, 0] <= eta[k] <= box[k, 1] for k in range(self.p))
+        return bool(np.all((self.omega[:, 0] <= eta) & (eta <= self.omega[:, 1])))
 
     @classmethod
     def ridge(cls, omega=None) -> "KernelSpec":
@@ -118,12 +128,12 @@ class KernelSpec:
 
 @dataclass
 class OptimizerOptions:
-    """Knobs for the multi-start box-constrained search."""
+    """Knobs for the box-constrained search; ``starts`` is the number of
+    best lattice points that the gradient stages polish."""
 
-    starts: int = 8
+    starts: int = 3
     max_iters: int = 400
     tol_cost: float = 1e-12
-    tol_step: float = 1e-10
 
 
 @dataclass
@@ -148,83 +158,105 @@ class EbFit:
 
 
 def _pow(base: np.ndarray | float, expo: np.ndarray) -> np.ndarray:
-    """base**expo with negative exponents clamped to zero.
+    """base**expo for integer-valued exponents, negative ones clamped to zero.
 
     Callers multiply by a polynomial coefficient that vanishes exactly where
-    the exponent was clamped, so the clamp never changes a value.
+    the exponent was clamped, so the clamp never changes a value.  A
+    negative base is raised as |base| with the sign of odd powers restored,
+    which agrees with the much slower direct power to rounding.
     """
-    return np.asarray(base) ** np.maximum(expo, 0.0)
+    base = np.asarray(base)
+    expo = np.maximum(expo, 0.0)
+    odd = np.where((base < 0.0) & (expo % 2.0 == 1.0), -1.0, 1.0)
+    return odd * np.abs(base) ** expo
 
 
 def kernel_matrix(
-    spec: KernelSpec, eta: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel matrix P(eta) with analytic first and second derivatives.
+    spec: KernelSpec, eta: np.ndarray, n: int, order: int = 2
+) -> tuple[np.ndarray, ...]:
+    """Kernel matrix P(eta) with its analytic derivatives up to ``order``.
 
-    Returns (P, dP, d2P) with shapes (n, n), (p, n, n) and (p, p, n, n);
-    d2P is symmetric in its first two axes.  Raises OutOfBoxError when eta
-    is outside the configured box.
+    Returns the first ``order + 1`` of (P, dP, d2P).  For one point eta of
+    shape (p,) their shapes are (n, n), (p, n, n) and (p, p, n, n), with d2P
+    symmetric in its first two axes; a stack of points (..., p) adds the
+    same leading axes to each.  Raises OutOfBoxError when eta is outside the
+    configured box.
     """
     eta = np.asarray(eta, dtype=float)
     if not spec.contains(eta):
         raise OutOfBoxError(f"eta {eta} outside box {spec.omega.tolist()}")
-    p = spec.p
-    dP = np.zeros((p, n, n))
-    d2P = np.zeros((p, p, n, n))
+    # hyper-parameters as (..., 1, 1) arrays, broadcast over the index grid
+    par = [eta[..., k, None, None] for k in range(spec.p)]
     idx = np.arange(1, n + 1, dtype=float)
     i = idx[:, None]
     j = idx[None, :]
 
+    # d1 holds dP[k]; d2() gives d2P[k, l] for k <= l, absent entries are
+    # zero (deferred: the gradient path has no use for it)
     if spec.family == "ridge":
-        P = eta[0] * np.eye(n)
-        dP[0] = np.eye(n)
-        return P, dP, d2P
-
-    if spec.family == "tc":
-        c, al = eta
+        P = par[0] * _eye(n)
+        if order == 0:
+            return (P,)
+        d1, d2 = (_eye(n),), dict
+    elif spec.family == "tc":
+        c, al = par
         m = np.maximum(i, j)
-        P = c * al**m
-        dP[0] = al**m
-        dP[1] = c * m * _pow(al, m - 1)
-        d2P[0, 1] = d2P[1, 0] = m * _pow(al, m - 1)
-        d2P[1, 1] = c * m * (m - 1) * _pow(al, m - 2)
-        return P, dP, d2P
-
-    if spec.family == "ss":
-        c, al = eta
+        base = al**m
+        P = c * base
+        if order == 0:
+            return (P,)
+        dal = m * _pow(al, m - 1)
+        d1 = (base, c * dal)
+        d2 = lambda: {(0, 1): dal, (1, 1): c * m * (m - 1) * _pow(al, m - 2)}
+    elif spec.family == "ss":
+        c, al = par
         m = np.maximum(i, j)
         e1 = i + j + m
         e2 = 3.0 * m
         base = al**e1 / 2.0 - al**e2 / 6.0
         P = c * base
-        dP[0] = base
-        dP[1] = c * (e1 * al ** (e1 - 1) / 2.0 - e2 * al ** (e2 - 1) / 6.0)
-        d2P[0, 1] = d2P[1, 0] = dP[1] / c
-        d2P[1, 1] = c * (
-            e1 * (e1 - 1) * al ** (e1 - 2) / 2.0
-            - e2 * (e2 - 1) * al ** (e2 - 2) / 6.0
-        )
-        return P, dP, d2P
+        if order == 0:
+            return (P,)
+        dal = e1 * al ** (e1 - 1) / 2.0 - e2 * al ** (e2 - 1) / 6.0
+        d1 = (base, c * dal)
+        d2 = lambda: {
+            (0, 1): dal,
+            (1, 1): c * (
+                e1 * (e1 - 1) * al ** (e1 - 2) / 2.0
+                - e2 * (e2 - 1) * al ** (e2 - 2) / 6.0
+            ),
+        }
+    else:
+        # dc; alpha is strictly positive so its (possibly negative) powers
+        # are taken directly, while integer rho exponents are clamped
+        c, al, rho = par
+        s = (i + j) / 2.0
+        d = np.abs(i - j)
+        rd = _pow(rho, d)
+        als = al**s
+        P = c * als * rd
+        if order == 0:
+            return (P,)
+        rd1 = d * _pow(rho, d - 1)
+        als1 = s * al ** (s - 1)
+        d1 = (als * rd, c * als1 * rd, c * als * rd1)
+        d2 = lambda: {
+            (0, 1): als1 * rd,
+            (0, 2): als * rd1,
+            (1, 1): c * s * (s - 1) * al ** (s - 2) * rd,
+            (1, 2): c * als1 * rd1,
+            (2, 2): c * als * d * (d - 1) * _pow(rho, d - 2),
+        }
 
-    # dc; alpha is strictly positive so its (possibly negative) powers are
-    # taken directly, while integer rho exponents are clamped
-    c, al, rho = eta
-    s = (i + j) / 2.0
-    d = np.abs(i - j)
-    rd = _pow(rho, d)
-    rd1 = d * _pow(rho, d - 1)
-    rd2 = d * (d - 1) * _pow(rho, d - 2)
-    als = al**s
-    als1 = s * al ** (s - 1)
-    P = c * als * rd
-    dP[0] = als * rd
-    dP[1] = c * als1 * rd
-    dP[2] = c * als * rd1
-    d2P[0, 1] = d2P[1, 0] = als1 * rd
-    d2P[0, 2] = d2P[2, 0] = als * rd1
-    d2P[1, 1] = c * s * (s - 1) * al ** (s - 2) * rd
-    d2P[1, 2] = d2P[2, 1] = c * als1 * rd1
-    d2P[2, 2] = c * als * rd2
+    lead = eta.shape[:-1] + (spec.p,)
+    dP = np.zeros(lead + (n, n))
+    for k, term in enumerate(d1):
+        dP[..., k, :, :] = term
+    if order == 1:
+        return P, dP
+    d2P = np.zeros(lead + (spec.p, n, n))
+    for (k, l), term in d2().items():
+        d2P[..., k, l, :, :] = d2P[..., l, k, :, :] = term
     return P, dP, d2P
 
 
@@ -268,54 +300,17 @@ def _chol_inverse(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def _kernel_value(spec: KernelSpec, eta: np.ndarray, n: int) -> np.ndarray:
-    """P(eta) alone; the simplex stage evaluates thousands of points and
-    has no use for the derivative stacks."""
-    eta = np.asarray(eta, dtype=float)
-    if not spec.contains(eta):
-        raise OutOfBoxError(f"eta {eta} outside box {spec.omega.tolist()}")
-    if spec.family == "ridge":
-        return eta[0] * _eye(n)
-    idx = np.arange(1, n + 1, dtype=float)
-    i = idx[:, None]
-    j = idx[None, :]
-    if spec.family == "tc":
-        return eta[0] * eta[1] ** np.maximum(i, j)
-    if spec.family == "ss":
-        m = np.maximum(i, j)
-        return eta[0] * (eta[1] ** (i + j + m) / 2.0 - eta[1] ** (3.0 * m) / 6.0)
-    c, al, rho = eta
-    return c * al ** ((i + j) / 2.0) * _pow(rho, np.abs(i - j))
-
-
-def _reduced_cost_value(
-    eta: np.ndarray,
-    theta: np.ndarray,
-    ridge_term: np.ndarray,
-    spec: KernelSpec,
-) -> float:
-    """Value of theta' S^-1 theta + logdet S, S = P(eta) + ridge_term."""
-    S = _kernel_value(spec, eta, theta.size) + ridge_term
-    try:
-        factor = cho_factor(S, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "S(eta) factorization failed; check the hyper-parameter box"
-        ) from None
-    z = cho_solve(factor, theta, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    return float(theta @ z) + logdet
-
-
 def _reduced_cost_grad(
     eta: np.ndarray,
     theta: np.ndarray,
     ridge_term: np.ndarray,
     spec: KernelSpec,
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of theta' S^-1 theta + logdet S, S = P(eta) + ridge_term."""
+    hessian: bool = False,
+) -> tuple:
+    """Value and gradient of theta' S^-1 theta + logdet S, S = P(eta) + ridge_term,
+    followed by the Hessian when ``hessian`` is set."""
     n = theta.size
-    P, dP, _ = kernel_matrix(spec, eta, n)
+    P, dP, *d2P = kernel_matrix(spec, eta, n, order=2 if hessian else 1)
     S = P + ridge_term
     try:
         factor = cho_factor(S, lower=True, check_finite=False)
@@ -328,7 +323,50 @@ def _reduced_cost_grad(
     value = float(theta @ z) + logdet
     s_inv = cho_solve(factor, _eye(n), check_finite=False)
     grad = np.array([-z @ dP[k] @ z + np.sum(s_inv * dP[k]) for k in range(spec.p)])
-    return value, grad
+    if not hessian:
+        return value, grad
+    # d2 cost / dk dl = 2 z'P_k S^-1 P_l z - z'P_kl z
+    #                   - Tr(S^-1 P_k S^-1 P_l) + Tr(S^-1 P_kl)
+    d2P = d2P[0]
+    pz = dP @ z
+    sp = s_inv @ dP
+    hess = (
+        2.0 * pz @ s_inv @ pz.T
+        - np.einsum("i,klij,j->kl", z, d2P, z)
+        - np.einsum("kij,lji->kl", sp, sp)
+        + np.einsum("ij,klji->kl", s_inv, d2P)
+    )
+    return value, grad, 0.5 * (hess + hess.T)
+
+
+def _reduced_cost_batch(
+    etas: np.ndarray,
+    theta: np.ndarray,
+    ridge_term: np.ndarray,
+    spec: KernelSpec,
+) -> np.ndarray:
+    """theta' S^-1 theta + logdet S at a stack of points etas (G, p), from one
+    batched Cholesky factorization.  Points where S is not numerically PD or
+    the value is not finite cost _COST_ON_FAILURE; box corners overflow
+    harmlessly, so floating-point warnings are muted here."""
+    n = theta.size
+    with np.errstate(all="ignore"):
+        S = kernel_matrix(spec, etas, n, order=0)[0] + ridge_term
+        ok = np.ones(S.shape[0], dtype=bool)
+        try:
+            chol = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            # one failure fails the whole stack, so factor point by point
+            chol = np.empty_like(S)
+            for g, mat in enumerate(S):
+                try:
+                    chol[g] = np.linalg.cholesky(mat)
+                except np.linalg.LinAlgError:
+                    chol[g], ok[g] = _eye(n), False
+        w = np.linalg.solve(chol, np.broadcast_to(theta[:, None], S.shape[:-1] + (1,)))
+        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+        values = np.sum(w[..., 0] ** 2, axis=-1) + logdet
+    return np.where(ok & np.isfinite(values), values, _COST_ON_FAILURE)
 
 
 def eb_cost(
@@ -347,191 +385,176 @@ def eb_cost(
 
 
 def _to_internal(spec: KernelSpec, eta: np.ndarray) -> np.ndarray:
-    out = np.empty(spec.p)
-    for k, kind in enumerate(spec.coord_kinds):
-        v = eta[k]
-        if kind == "log":
-            out[k] = math.log(v)
-        elif kind == "logit":
-            out[k] = math.log(v / (1.0 - v))
-        else:
-            out[k] = math.atanh(v)
-    return out
+    """Transformed coordinates of eta, one point (p,) or a stack (..., p)."""
+    eta = np.asarray(eta, dtype=float)
+    return np.stack(
+        [_TRANSFORMS[kind][0](eta[..., k]) for k, kind in enumerate(spec.coord_kinds)],
+        axis=-1,
+    )
 
 
 def _from_internal(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
-    out = np.empty(spec.p)
+    """Inverse of _to_internal, clipped so the round trip never leaves the box."""
+    x = np.asarray(x, dtype=float)
+    eta = np.stack(
+        [_TRANSFORMS[kind][1](x[..., k]) for k, kind in enumerate(spec.coord_kinds)],
+        axis=-1,
+    )
+    return np.clip(eta, spec.omega[:, 0], spec.omega[:, 1])
+
+
+def _chain_factors(spec: KernelSpec, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives of each eta coordinate with respect to
+    its transformed coordinate."""
+    d1 = np.empty(spec.p)
+    d2 = np.empty(spec.p)
     for k, kind in enumerate(spec.coord_kinds):
+        v = eta[k]
         if kind == "log":
-            out[k] = math.exp(x[k])
+            d1[k] = d2[k] = v
         elif kind == "logit":
-            out[k] = float(expit(x[k]))
+            d1[k] = v * (1.0 - v)
+            d2[k] = d1[k] * (1.0 - 2.0 * v)
         else:
-            out[k] = math.tanh(x[k])
-    return out
+            d1[k] = 1.0 - v**2
+            d2[k] = -2.0 * v * d1[k]
+    return d1, d2
 
 
-def _chain_factor(spec: KernelSpec, eta: np.ndarray) -> np.ndarray:
-    """d(eta)/d(internal coordinate), per coordinate."""
-    fac = np.empty(spec.p)
-    for k, kind in enumerate(spec.coord_kinds):
-        if kind == "log":
-            fac[k] = eta[k]
-        elif kind == "logit":
-            fac[k] = eta[k] * (1.0 - eta[k])
-        else:
-            fac[k] = 1.0 - eta[k] ** 2
-    return fac
-
-
-def _start_lattice(lo: np.ndarray, hi: np.ndarray, starts: int) -> np.ndarray:
-    """Deterministic per-coordinate lattice of start points, box interior."""
+def _start_lattice(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Fixed scan lattice in transformed coordinates: _SCAN_POINTS[p] points
+    per axis over the central 80 % of each side of the box."""
     p = lo.size
-    m = max(2, math.ceil(starts ** (1.0 / p)))
     margin = 0.1 * (hi - lo)
-    axes = [np.linspace(lo[k] + margin[k], hi[k] - margin[k], m) for k in range(p)]
+    axes = [
+        np.linspace(lo[k] + margin[k], hi[k] - margin[k], _SCAN_POINTS[p])
+        for k in range(p)
+    ]
     grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    take = np.round(np.linspace(0, points.shape[0] - 1, starts)).astype(int)
-    return points[take]
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _free(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Coordinates not held at a bound by a gradient pointing out of the box."""
+    return ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
 
 
 def _newton_polish(eval_internal, x, lo, hi, max_iters=30, grad_tol=1e-9):
-    """Damped Newton steps on the analytic gradient (Hessian by central
-    differences of the gradient), projected into the box.
+    """Projected Newton steps with the analytic Hessian, inside the box.
 
-    The quasi-Newton stage stops once cost changes fall below its relative
-    floor, which can leave a gradient around 1e-6; this drives it further
-    down so returned minima satisfy tight first-order optimality.
+    Coordinates held at a bound stay fixed; the others take a Newton step,
+    or a gradient step where that is not a descent direction, damped until
+    it helps.  The quasi-Newton stage stops once cost changes fall below
+    its relative floor, which can leave a gradient around 1e-6 (more along
+    a long curved valley); this drives the projected gradient further down
+    so returned minima satisfy tight first-order optimality.  Returns
+    (x, cost at x, cost evaluations).
     """
-    value, grad = eval_internal(x)
-    iters = 0
-    p = x.size
+    value, grad, hess = eval_internal(x, True)
+    ref = value
+    evals = 0
     for _ in range(max_iters):
-        gnorm = np.linalg.norm(grad)
+        free = _free(x, grad, lo, hi)
+        gnorm = np.linalg.norm(grad[free])
         if gnorm <= grad_tol or value >= _COST_ON_FAILURE:
             break
-        hess = np.empty((p, p))
-        for k in range(p):
-            h = 1e-6 * max(1.0, abs(x[k]))
-            xp, xm = x.copy(), x.copy()
-            xp[k] = min(x[k] + h, hi[k])
-            xm[k] = max(x[k] - h, lo[k])
-            gp = eval_internal(xp)[1]
-            gm = eval_internal(xm)[1]
-            hess[:, k] = (gp - gm) / (xp[k] - xm[k])
-        hess = 0.5 * (hess + hess.T)
+        step = np.zeros_like(x)
         try:
-            step = np.linalg.solve(hess, -grad)
+            step[free] = np.linalg.solve(hess[np.ix_(free, free)], -grad[free])
         except np.linalg.LinAlgError:
-            break
+            pass
         if not np.all(np.isfinite(step)) or step @ grad >= 0.0:
-            step = -grad
+            step = np.where(free, -grad, 0.0)
         # near the optimum the cost sits at its floating-point floor, so
         # progress is judged by the gradient norm, with the value pinned
-        value_cap = value + 64.0 * np.finfo(float).eps * (1.0 + abs(value))
-        improved = False
+        value_cap = ref + 64.0 * np.finfo(float).eps * (1.0 + abs(ref))
         for damp in (1.0, 0.5, 0.25, 0.1, 0.01):
             cand = np.clip(x + damp * step, lo, hi)
-            cand_value, cand_grad = eval_internal(cand)
-            iters += 1
-            if cand_value < value or (
-                cand_value <= value_cap and np.linalg.norm(cand_grad) < gnorm
+            cand_value, cand_grad, cand_hess = eval_internal(cand, True)
+            evals += 1
+            if cand_value < ref or (
+                cand_value <= value_cap
+                and np.linalg.norm(cand_grad[_free(cand, cand_grad, lo, hi)]) < gnorm
             ):
-                x, value, grad = cand, min(cand_value, value), cand_grad
-                improved = True
+                x, value, grad, hess = cand, cand_value, cand_grad, cand_hess
+                ref = min(ref, value)
                 break
-        if not improved:
+        else:
             break
-    return x, value, iters
+    return x, value, evals
 
 
 def minimize_box(
-    fun_grad,
+    theta: np.ndarray,
+    ridge_term: np.ndarray,
     spec: KernelSpec,
     opts: OptimizerOptions | None = None,
-    fun_value=None,
 ):
-    """Multi-start minimization of fun_grad over the kernel box.
+    """Minimize theta' S^-1 theta + logdet S, S = P(eta) + ridge_term, over
+    the kernel box.
 
-    ``fun_grad(eta) -> (value, gradient)`` is evaluated in original
-    coordinates; the search itself runs in transformed coordinates.  The
-    gradient-free simplex stage uses ``fun_value`` when supplied (a cheaper
-    value-only evaluation).  Returns (eta, value, OptimizerStats).
-    Equal-cost minima are broken towards the lexicographically smallest
-    transformed point, so results are reproducible across platforms and
-    start orderings.
+    The search runs in transformed coordinates.  It evaluates the cost on a
+    fixed lattice in one batched call, polishes the ``opts.starts`` best
+    lattice points with analytic-gradient L-BFGS-B and then Newton steps,
+    and keeps the best polished point.  Equal-cost minima are broken towards
+    the lexicographically smallest transformed point, so results are
+    reproducible across platforms and lattice orderings.  Returns
+    (eta, value, OptimizerStats); ``converged`` reports whether L-BFGS-B
+    succeeded from the start that produced eta.
     """
     opts = opts or OptimizerOptions()
     lo = _to_internal(spec, spec.omega[:, 0])
     hi = _to_internal(spec, spec.omega[:, 1])
-    if fun_value is None:
-        fun_value = lambda eta: fun_grad(eta)[0]
+    p = spec.p
 
-    def eval_internal(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def eval_internal(x: np.ndarray, hessian: bool = False) -> tuple:
         eta = _from_internal(spec, x)
         try:
-            value, grad = fun_grad(eta)
+            out = _reduced_cost_grad(eta, theta, ridge_term, spec, hessian)
         except NotPositiveDefiniteError:
-            return _COST_ON_FAILURE, np.zeros(spec.p)
-        if not math.isfinite(value):
-            return _COST_ON_FAILURE, np.zeros(spec.p)
-        return value, grad * _chain_factor(spec, eta)
+            out = (math.inf,)
+        if not math.isfinite(out[0]):
+            return (_COST_ON_FAILURE, np.zeros(p), np.zeros((p, p)))[: 2 + hessian]
+        d1, d2 = _chain_factors(spec, eta)
+        if not hessian:
+            return out[0], out[1] * d1
+        return out[0], out[1] * d1, out[2] * np.outer(d1, d1) + np.diag(out[1] * d2)
 
-    def simplex_objective(x: np.ndarray) -> float:
-        xc = np.clip(x, lo, hi)
-        try:
-            value = fun_value(_from_internal(spec, xc))
-        except NotPositiveDefiniteError:
-            return _COST_ON_FAILURE
-        if not math.isfinite(value):
-            return _COST_ON_FAILURE
-        return value + float(np.sum((x - xc) ** 2))
+    lattice = _start_lattice(lo, hi)
+    costs = _reduced_cost_batch(_from_internal(spec, lattice), theta, ridge_term, spec)
+    # cheapest first, ties towards the lexicographically smallest point
+    ranked = np.lexsort(tuple(lattice.T[::-1]) + (costs,))
 
-    candidates: list[tuple[float, tuple[float, ...]]] = []
+    candidates: list[tuple[float, tuple[float, ...], bool]] = []
     iterations = 0
-    any_success = False
-    for x0 in _start_lattice(lo, hi, opts.starts):
-        res_nm = minimize(
-            simplex_objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": opts.max_iters,
-                "xatol": opts.tol_step,
-                "fatol": opts.tol_cost,
-            },
-        )
-        iterations += res_nm.nit
-        x_nm = np.clip(res_nm.x, lo, hi)
-        res_pol = minimize(
+    for x0 in lattice[ranked[: opts.starts]]:
+        res = minimize(
             eval_internal,
-            x_nm,
+            x0,
             jac=True,
             method="L-BFGS-B",
             bounds=list(zip(lo, hi)),
             options={"maxiter": opts.max_iters, "ftol": 1e-14, "gtol": 1e-10},
         )
-        iterations += res_pol.nit
-        x_lb = np.clip(res_pol.x, lo, hi)
-        seed = x_lb if eval_internal(x_lb)[0] <= eval_internal(x_nm)[0] else x_nm
-        x_pol, value_pol, newton_iters = _newton_polish(eval_internal, seed, lo, hi)
-        iterations += newton_iters
-        candidates.append((value_pol, tuple(x_pol)))
-        any_success = any_success or res_nm.success or res_pol.success
+        x_pol, value_pol, newton_evals = _newton_polish(
+            eval_internal, np.clip(res.x, lo, hi), lo, hi
+        )
+        iterations += res.nit + newton_evals
+        candidates.append((value_pol, tuple(x_pol), bool(res.success)))
 
-    best_value = min(v for v, _ in candidates)
+    best_value = min(c[0] for c in candidates)
     slack = opts.tol_cost * (1.0 + abs(best_value))
-    best_x = min(x for v, x in candidates if v <= best_value + slack)
+    value, best_x, success = min(
+        (c for c in candidates if c[0] <= best_value + slack), key=lambda c: c[1]
+    )
     x_arr = np.array(best_x)
-    value = eval_internal(x_arr)[0]
     at_boundary = bool(
         np.any(x_arr - lo <= 1e-6 * (hi - lo)) or np.any(hi - x_arr <= 1e-6 * (hi - lo))
     )
     stats = OptimizerStats(
         starts=opts.starts,
         iterations=int(iterations),
-        converged=bool(any_success and value < _COST_ON_FAILURE),
+        converged=success and value < _COST_ON_FAILURE,
         at_boundary=at_boundary,
     )
     return _from_internal(spec, x_arr), float(value), stats
@@ -550,15 +573,7 @@ def eb_estimate(
         ginv = _chol_inverse(gram)
     except np.linalg.LinAlgError:
         raise RankDeficientError("gram matrix is not positive definite") from None
-    ridge_term = sigma2_hat * ginv
-
-    def cost(eta: np.ndarray) -> tuple[float, np.ndarray]:
-        return _reduced_cost_grad(eta, theta_ls, ridge_term, spec)
-
-    def cost_value(eta: np.ndarray) -> float:
-        return _reduced_cost_value(eta, theta_ls, ridge_term, spec)
-
-    eta_hat, value, stats = minimize_box(cost, spec, opts, fun_value=cost_value)
+    eta_hat, value, stats = minimize_box(theta_ls, sigma2_hat * ginv, spec, opts)
     p_mat = kernel_matrix(spec, eta_hat, data.order)[0]
     theta_tr = rls_estimate(data, p_mat, sigma2_hat)
     return EbFit(

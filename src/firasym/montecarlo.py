@@ -75,9 +75,13 @@ class ExperimentConfig:
         if self.n_samples <= self.n:
             raise ValueError("n_samples must exceed n")
         self.filters = [(float(a), float(cu2)) for a, cu2 in self.filters]
-        for a, cu2 in self.filters:
+        for i, (a, cu2) in enumerate(self.filters):
             if not 0.0 <= a < 1.0 or cu2 <= 0.0:
                 raise ValueError(f"invalid filter point (a={a}, cu2={cu2})")
+            if (a, cu2) in self.filters[:i]:
+                raise ValueError(
+                    f"filters[{i}]: duplicate of filters[{self.filters.index((a, cu2))}]"
+                )
 
 
 @dataclass
@@ -218,8 +222,12 @@ def experiment_theory(
 _WORKER_CTX: tuple[ExperimentConfig, list[FirSystem]] | None = None
 
 
-def _init_worker(config: ExperimentConfig) -> None:
+def _init_worker(config: ExperimentConfig, errstate: dict | None = None) -> None:
+    """Per-process context; ``errstate`` carries the parent's numpy
+    floating-point error handling into pool workers."""
     global _WORKER_CTX
+    if errstate is not None:
+        np.seterr(**errstate)
     _WORKER_CTX = (config, [make_system(config, s) for s in range(config.systems)])
 
 
@@ -271,7 +279,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentOutc
     if threads > 1:
         chunk = max(1, len(tasks) // (8 * threads))
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=(config,)
+            max_workers=threads,
+            initializer=_init_worker,
+            initargs=(config, np.geterr()),
         ) as pool:
             raw = list(pool.map(_run_task, tasks, chunksize=chunk))
     else:
@@ -279,9 +289,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentOutc
         raw = [_run_task(t) for t in tasks]
     records = [r for r in raw if isinstance(r, RecordResult)]
     failures = sorted(r for r in raw if isinstance(r, str))
+    excluded = [0] * len(config.filters)
+    for (_, coll_id, _), result in zip(tasks, raw):
+        excluded[coll_id] += isinstance(result, str)
     records.sort(key=lambda r: (r.system_id, r.a, r.cu2, r.record_id))
     theory = experiment_theory(config)
-    aggregates = aggregate_records(config, records, theory, len(failures))
+    aggregates = aggregate_records(config, records, theory, excluded)
     return ExperimentOutcome(
         records=records, aggregates=aggregates, failures=failures, theory=theory
     )
@@ -291,9 +304,10 @@ def aggregate_records(
     config: ExperimentConfig,
     records: list[RecordResult],
     theory: dict[tuple[int, int], CollectionTheory],
-    excluded: int = 0,
+    excluded: list[int] | None = None,
 ) -> list[AggregateMetrics]:
-    """Collection-level summaries from per-record results.
+    """Collection-level summaries from per-record results; ``excluded``
+    holds the failed-record count of each collection.
 
     Sums are compensated and records are grouped by sorted keys, so the
     outcome does not depend on the incoming order.
@@ -365,7 +379,7 @@ def aggregate_records(
                 num_sys_3=sum(s["flags"][2] for s in per_system),
                 mean_fit_g=avg("fit"),
                 mean_cond_phitphi=avg("cond"),
-                excluded=excluded,
+                excluded=excluded[coll_id] if excluded else 0,
             )
         )
     return out

@@ -2,10 +2,14 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import firasym.cli as cli
+import firasym.montecarlo as montecarlo
+from firasym import DegenerateBoundWarning
 from firasym.cli import main
 
 
@@ -120,6 +124,17 @@ class TestMcCommand:
             out_b / "aggregates.json"
         )
 
+    def test_duplicate_filters_are_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(MC_CONFIG, filters=[[0.2, 0.5], [0.2, 0.5]]))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "filters[1]" in capsys.readouterr().err
+
+    def test_removed_tol_step_is_config_error(self, tmp_path, capsys):
+        optimizer = {"starts": 4, "tol_step": 1e-10}
+        cfg = write_config(tmp_path, dict(MC_CONFIG, optimizer=optimizer))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "optimizer.tol_step" in capsys.readouterr().err
+
     def test_missing_records_field(self, tmp_path, capsys):
         broken = {k: v for k, v in MC_CONFIG.items() if k != "records"}
         cfg = write_config(tmp_path, broken)
@@ -189,3 +204,58 @@ class TestSweepCommand:
             out.mkdir()
             assert main(args + ["--out", str(out)]) == 0
         assert read_bytes(out_a / "sweep.csv") == read_bytes(out_b / "sweep.csv")
+
+
+class TestStrict:
+    def test_healthy_runs_pass(self, tmp_path):
+        # the acceptance suite's determinism configs
+        asym_cfg = write_config(
+            tmp_path,
+            {
+                "kernel": {"family": "ridge"},
+                "system": {"type": "T1", "n": 12},
+                "filter": {"a": 0.5, "cu2": 0.5},
+                "noise": {"sigma2": 1.0},
+                "N": 1000,
+            },
+            "asym.json",
+        )
+        mc_cfg = write_config(tmp_path, dict(MC_CONFIG, filters=[[0.3, 0.5]]), "mc.json")
+        runs = [
+            ["asym", "--config", asym_cfg, "--seed", "3"],
+            ["mc", "--config", mc_cfg, "--seed", "3", "--threads", "1"],
+            ["mc", "--config", mc_cfg, "--seed", "3", "--threads", "2"],
+            ["table1", "--a", "0.3", "--n", "8", "--N", "150", "--records", "4"],
+            ["sweep", "--grid-points", "6", "--n", "8", "--N", "500"],
+        ]
+        for args in runs:
+            assert main(args + ["--strict", "--out", str(tmp_path)]) == 0
+
+    def test_degenerate_bound_warning_escalates(self, tmp_path, monkeypatch):
+        original = cli.asymptotic_report
+
+        def warn_then_report(*args, **kwargs):
+            warnings.warn("vacuous lower bound", DegenerateBoundWarning)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "asymptotic_report", warn_then_report)
+        cfg = write_config(tmp_path, ASYM_CONFIG)
+        args = ["asym", "--config", cfg, "--out", str(tmp_path)]
+        with pytest.warns(DegenerateBoundWarning):
+            assert main(args) == 0
+        assert main(args + ["--strict"]) == 3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_floating_point_error_escalates(self, tmp_path, monkeypatch, threads):
+        original = montecarlo.generate_input
+
+        def overflow_then_input(*args, **kwargs):
+            np.array([1e308]) * 10.0
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "generate_input", overflow_then_input)
+        cfg = write_config(tmp_path, MC_CONFIG)
+        args = ["mc", "--config", cfg, "--threads", threads, "--out", str(tmp_path)]
+        with pytest.warns(RuntimeWarning) if threads == "1" else warnings.catch_warnings():
+            assert main(args) == 0
+        assert main(args + ["--strict"]) == 3

@@ -71,6 +71,24 @@ class TestKernelMatrix:
         np.testing.assert_array_equal(dP[0], np.eye(4))
         np.testing.assert_array_equal(d2P[0, 0], np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_stack_and_order_match_single_points(self, spec):
+        rng = np.random.default_rng(30)
+        etas = np.array([interior_eta(spec, rng) for _ in range(3)])
+        for order in (0, 1, 2):
+            stacked = kernel_matrix(spec, etas, 5, order)
+            assert len(stacked) == order + 1
+            for g, eta in enumerate(etas):
+                for whole, single in zip(stacked, kernel_matrix(spec, eta, 5)):
+                    np.testing.assert_allclose(whole[g], single, rtol=4e-16, atol=0)
+
+    def test_signed_power_matches_direct_power(self):
+        idx = np.arange(1, 21, dtype=float)
+        expo = np.abs(idx[:, None] - idx[None, :]) - 1.0
+        for base in np.linspace(-0.999, 0.999, 37):
+            direct = base ** np.maximum(expo, 0.0)
+            np.testing.assert_allclose(est._pow(base, expo), direct, rtol=4e-16, atol=0)
+
     def test_tc_small_example(self):
         P, _, _ = kernel_matrix(KernelSpec.tc(), np.array([1.0, 0.5]), 2)
         np.testing.assert_allclose(P, [[0.5, 0.25], [0.25, 0.25]], rtol=1e-15)
@@ -283,7 +301,7 @@ class TestHyperParameterSearch:
         gram = data.phi.T @ data.phi
         lo = est._to_internal(spec, spec.omega[:, 0])
         hi = est._to_internal(spec, spec.omega[:, 1])
-        for x0 in est._start_lattice(lo, hi, 8):
+        for x0 in est._start_lattice(lo, hi):
             start_cost = eb_cost(
                 est._from_internal(spec, x0), theta_ls, gram, sigma2_hat, spec
             )[0]
@@ -294,7 +312,7 @@ class TestHyperParameterSearch:
         baseline = eb_estimate(data, KernelSpec.tc())
         original = est._start_lattice
         monkeypatch.setattr(
-            est, "_start_lattice", lambda lo, hi, s: original(lo, hi, s)[::-1]
+            est, "_start_lattice", lambda lo, hi: original(lo, hi)[::-1]
         )
         reordered = eb_estimate(data, KernelSpec.tc())
         assert reordered.cost == pytest.approx(baseline.cost, abs=1e-10)

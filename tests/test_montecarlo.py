@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import firasym.montecarlo as montecarlo
 from firasym import (
     DegenerateTruthError,
     ExperimentConfig,
     KernelSpec,
     NoiseSpec,
+    NotPositiveDefiniteError,
     OptimizerOptions,
     compare_amse,
     fit_g,
@@ -95,6 +97,26 @@ class TestRunExperiment:
         for agg in out.aggregates:
             for count in (agg.num_sys_1, agg.num_sys_2, agg.num_sys_3):
                 assert 0 <= count <= agg.systems
+
+    def test_excluded_counts_per_collection(self, monkeypatch):
+        # the first record drawn for the second collection fails
+        original = montecarlo.generate_input
+        failed = []
+
+        def flaky(filt, *args):
+            if filt.kind.a == 0.5 and not failed:
+                failed.append(True)
+                raise NotPositiveDefiniteError("injected failure")
+            return original(filt, *args)
+
+        monkeypatch.setattr(montecarlo, "generate_input", flaky)
+        out = run_experiment(small_config())
+        assert len(out.failures) == 1
+        assert [agg.excluded for agg in out.aggregates] == [0, 1]
+
+    def test_duplicate_filters_rejected(self):
+        with pytest.raises(ValueError, match=r"filters\[2\]: duplicate of filters\[0\]"):
+            small_config(filters=[(0.1, 0.5), (0.5, 0.5), (0.1, 0.5)])
 
     def test_smse_matches_record_mean(self):
         config = small_config()
