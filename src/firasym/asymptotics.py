@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import toeplitz
 
 from .errors import (
     DegenerateBoundWarning,
@@ -28,7 +28,9 @@ from .estimators import (
     EbFit,
     KernelSpec,
     OptimizerOptions,
+    _pd_inverse,
     _reduced_cost_grad,
+    _sym,
     kernel_matrix,
     minimize_box,
 )
@@ -52,14 +54,6 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if n * n != v.size:
         raise ValueError("length is not a perfect square")
     return v.reshape((n, n), order="F")
-
-
-def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
-
-
-def _pd_inverse(mat: np.ndarray) -> np.ndarray:
-    return _sym(cho_solve(cho_factor(mat), np.eye(mat.shape[0])))
 
 
 @dataclass
@@ -88,8 +82,11 @@ class HyperParameterLaw:
 @dataclass
 class RegularizedErrorMoments:
     """Third-order mean and covariance blocks of the scaled coefficient
-    error, plus the mean-square-error approximations of orders 1..3."""
+    error, the first- and second-order LS-error covariances they build on,
+    and the mean-square-error approximations of orders 1..3."""
 
+    v_als_1: np.ndarray
+    v_als_2: np.ndarray
     c_b: np.ndarray
     e_b_ar: np.ndarray
     v_b3_11: np.ndarray
@@ -271,8 +268,7 @@ def prior_fit_cost(
 ) -> tuple[float, np.ndarray]:
     """Limit criterion theta0' P^-1 theta0 + logdet P and its gradient: the
     reduced cost with a zero noise term."""
-    n = theta0.size
-    return _reduced_cost_grad(np.asarray(eta, float), theta0, np.zeros((n, n)), spec)
+    return _reduced_cost_grad(np.asarray(eta, float), theta0, 0.0, spec)
 
 
 def eta_star(
@@ -318,38 +314,17 @@ def hyper_parameter_law(
 ) -> HyperParameterLaw:
     """Blocks of the limiting law of the scaled hyper-parameter error.
 
-    a_b is the Hessian of the prior-fit criterion at eta_star, b_b stacks
-    the rows theta0' d(P^-1)/d(eta_k), and
+    a_b is the Hessian of the prior-fit criterion at eta_star (the reduced
+    cost's analytic Hessian with a zero noise term), b_b stacks the rows
+    theta0' d(P^-1)/d(eta_k) = -(dP_k P^-1 theta0)' P^-1, and
 
         v_b_h = 4 sigma2 a_b^-1 b_b Sigma^-1 b_b' a_b^-1.
-
-    The second derivative of P^-1 is assembled by the product rule, so all
-    derivative inputs are analytic.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    n = theta0.size
-    p = spec.p
-    P, dP, d2P = kernel_matrix(spec, eta_star_value, n)
+    P, dP = kernel_matrix(spec, eta_star_value, theta0.size, order=1)
     p_inv = _pd_inverse(P)
-    d_inv = np.array([-p_inv @ dP[k] @ p_inv for k in range(p)])
-    a_b = np.empty((p, p))
-    b_b = np.empty((p, n))
-    for k in range(p):
-        b_b[k] = theta0 @ d_inv[k]
-    for k in range(p):
-        for m in range(p):
-            d2_inv = (
-                p_inv @ dP[m] @ p_inv @ dP[k] @ p_inv
-                + p_inv @ dP[k] @ p_inv @ dP[m] @ p_inv
-                - p_inv @ d2P[k, m] @ p_inv
-            )
-            # symmetric factors, so Tr(AB) = sum(A * B)
-            a_b[k, m] = (
-                theta0 @ d2_inv @ theta0
-                + np.sum(d_inv[m] * dP[k])
-                + np.sum(p_inv * d2P[k, m])
-            )
-    a_b = _sym(a_b)
+    a_b = _reduced_cost_grad(eta_star_value, theta0, 0.0, spec, hessian=True)[2]
+    b_b = -(dP @ (p_inv @ theta0)) @ p_inv
     a_inv, singular = _robust_inverse(a_b, "curvature matrix")
     half = a_inv @ b_b  # p x n
     v_b_h = 4.0 * sigma2 * half @ np.linalg.solve(sigma, half.T)
@@ -443,6 +418,8 @@ def regularized_error_moments(
         (float(np.trace(v_b_ar)) + bias_sq) / n_samples,
     )
     return RegularizedErrorMoments(
+        v_als_1=v1,
+        v_als_2=v2,
         c_b=c_b,
         e_b_ar=e_b_ar,
         v_b3_11=v_b3_11,
@@ -468,7 +445,6 @@ def asymptotic_report(
     stats = second_order_stats(filt, theta0.size)
     star = eta_star(spec, theta0, opts)
     t1 = hyper_parameter_law(spec, theta0, star, stats.sigma, noise.sigma2)
-    v1, v2, _ = ls_error_covariances(stats.sigma, stats.c_gamma, noise.sigma2, n_samples)
     t3 = regularized_error_moments(
         spec, theta0, star, t1.a_b, t1.b_b, stats.sigma, stats.c_gamma, noise, n_samples
     )
@@ -477,8 +453,8 @@ def asymptotic_report(
         a_b=t1.a_b,
         b_b=t1.b_b,
         v_b_h=t1.v_b_h,
-        v_als_1=v1,
-        v_als_2=v2,
+        v_als_1=t3.v_als_1,
+        v_als_2=t3.v_als_2,
         c_b=t3.c_b,
         e_b_ar=t3.e_b_ar,
         v_b3_11=t3.v_b3_11,

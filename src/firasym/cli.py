@@ -29,6 +29,7 @@ from .errors import (
 )
 from .estimators import KernelSpec, OptimizerOptions
 from .montecarlo import (
+    _SYSTEM_TAG,
     ExperimentConfig,
     aggregates_json_dict,
     run_experiment,
@@ -47,8 +48,6 @@ from .signals import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_SYSTEM_TAG = 1  # matches the Monte-Carlo system stream
 
 
 # ------------------------------------------------------------ config plumbing
@@ -202,10 +201,9 @@ def cmd_asym(args) -> int:
     n_samples = _field(cfg, "N", int)
     theta0 = _theta0_from_config(cfg, None, seed)
     report = asymptotic_report(kernel, theta0, filt, noise, n_samples)
-    payload = {"header": _header(cfg, seed), "report": report.to_json_dict()}
-    out_path = os.path.join(args.out, "asym_report.json")
-    _dump_json(out_path, payload)
     doc = report.to_json_dict()
+    out_path = os.path.join(args.out, "asym_report.json")
+    _dump_json(out_path, {"header": _header(cfg, seed), "report": doc})
     print(f"cond(Sigma) = {doc['cond_sigma']:.6g}")
     print(f"Tr V_b_h    = {doc['trace_v_b_h']:.6g}")
     print(

@@ -30,11 +30,12 @@ from .signals import Dataset
 _FAMILIES = ("ridge", "tc", "dc", "ss")
 
 # Per-coordinate transforms used by the optimizer: kind -> (to internal,
-# from internal).
+# from internal, eta -> first and second derivative of eta with respect to
+# its internal coordinate).
 _TRANSFORMS = {
-    "log": (np.log, np.exp),
-    "logit": (logit, expit),
-    "atanh": (np.arctanh, np.tanh),
+    "log": (np.log, np.exp, lambda v: (v, v)),
+    "logit": (logit, expit, lambda v: (v * (1.0 - v), v * (1.0 - v) * (1.0 - 2.0 * v))),
+    "atanh": (np.arctanh, np.tanh, lambda v: (1.0 - v**2, -2.0 * v * (1.0 - v**2))),
 }
 _COORD_KINDS = {
     "ridge": ("log",),
@@ -294,21 +295,33 @@ def rls_estimate(data: Dataset, p_mat: np.ndarray, sigma2: float) -> np.ndarray:
     return chol_p @ w
 
 
-def _chol_inverse(mat: np.ndarray) -> np.ndarray:
+def _sym(mat: np.ndarray) -> np.ndarray:
+    return 0.5 * (mat + mat.T)
+
+
+def _pd_inverse(mat: np.ndarray) -> np.ndarray:
     """Symmetrized inverse of a PD matrix via Cholesky."""
-    inv = cho_solve(cho_factor(mat), np.eye(mat.shape[0]))
-    return 0.5 * (inv + inv.T)
+    return _sym(cho_solve(cho_factor(mat), np.eye(mat.shape[0])))
+
+
+def _noise_term(gram: np.ndarray, sigma2_hat: float) -> np.ndarray:
+    """sigma2_hat * (Phi' Phi)^-1, the noise part of S(eta)."""
+    try:
+        return sigma2_hat * _pd_inverse(gram)
+    except np.linalg.LinAlgError:
+        raise RankDeficientError("gram matrix is not positive definite") from None
 
 
 def _reduced_cost_grad(
     eta: np.ndarray,
     theta: np.ndarray,
-    ridge_term: np.ndarray,
+    ridge_term: np.ndarray | float,
     spec: KernelSpec,
     hessian: bool = False,
 ) -> tuple:
     """Value and gradient of theta' S^-1 theta + logdet S, S = P(eta) + ridge_term,
-    followed by the Hessian when ``hessian`` is set."""
+    followed by the Hessian when ``hessian`` is set.  A zero ridge term gives
+    the prior-fit criterion theta' P^-1 theta + logdet P."""
     n = theta.size
     P, dP, *d2P = kernel_matrix(spec, eta, n, order=2 if hessian else 1)
     S = P + ridge_term
@@ -336,7 +349,7 @@ def _reduced_cost_grad(
         - np.einsum("kij,lji->kl", sp, sp)
         + np.einsum("ij,klji->kl", s_inv, d2P)
     )
-    return value, grad, 0.5 * (hess + hess.T)
+    return value, grad, _sym(hess)
 
 
 def _reduced_cost_batch(
@@ -377,11 +390,9 @@ def eb_cost(
     spec: KernelSpec,
 ) -> tuple[float, np.ndarray]:
     """Reduced marginal-likelihood cost and its analytic gradient."""
-    try:
-        ginv = _chol_inverse(gram)
-    except np.linalg.LinAlgError:
-        raise RankDeficientError("gram matrix is not positive definite") from None
-    return _reduced_cost_grad(np.asarray(eta, float), theta_ls, sigma2_hat * ginv, spec)
+    return _reduced_cost_grad(
+        np.asarray(eta, float), theta_ls, _noise_term(gram, sigma2_hat), spec
+    )
 
 
 def _to_internal(spec: KernelSpec, eta: np.ndarray) -> np.ndarray:
@@ -409,15 +420,7 @@ def _chain_factors(spec: KernelSpec, eta: np.ndarray) -> tuple[np.ndarray, np.nd
     d1 = np.empty(spec.p)
     d2 = np.empty(spec.p)
     for k, kind in enumerate(spec.coord_kinds):
-        v = eta[k]
-        if kind == "log":
-            d1[k] = d2[k] = v
-        elif kind == "logit":
-            d1[k] = v * (1.0 - v)
-            d2[k] = d1[k] * (1.0 - 2.0 * v)
-        else:
-            d1[k] = 1.0 - v**2
-            d2[k] = -2.0 * v * d1[k]
+        d1[k], d2[k] = _TRANSFORMS[kind][2](eta[k])
     return d1, d2
 
 
@@ -508,12 +511,16 @@ def minimize_box(
     p = spec.p
 
     def eval_internal(x: np.ndarray, hessian: bool = False) -> tuple:
+        # probes near the box faces can make P vanish numerically: a
+        # non-finite value or derivative fails the point like a non-PD S,
+        # with the floating-point warnings muted as in the scan
         eta = _from_internal(spec, x)
-        try:
-            out = _reduced_cost_grad(eta, theta, ridge_term, spec, hessian)
-        except NotPositiveDefiniteError:
-            out = (math.inf,)
-        if not math.isfinite(out[0]):
+        with np.errstate(all="ignore"):
+            try:
+                out = _reduced_cost_grad(eta, theta, ridge_term, spec, hessian)
+            except NotPositiveDefiniteError:
+                out = (math.inf,)
+        if not (math.isfinite(out[0]) and all(np.isfinite(t).all() for t in out[1:])):
             return (_COST_ON_FAILURE, np.zeros(p), np.zeros((p, p)))[: 2 + hessian]
         d1, d2 = _chain_factors(spec, eta)
         if not hessian:
@@ -568,12 +575,8 @@ def eb_estimate(
     theta_ls = ls_estimate(data)
     resid = data.y - data.phi @ theta_ls
     sigma2_hat = float(resid @ resid) / (data.n_samples - data.order)
-    gram = data.phi.T @ data.phi
-    try:
-        ginv = _chol_inverse(gram)
-    except np.linalg.LinAlgError:
-        raise RankDeficientError("gram matrix is not positive definite") from None
-    eta_hat, value, stats = minimize_box(theta_ls, sigma2_hat * ginv, spec, opts)
+    noise = _noise_term(data.phi.T @ data.phi, sigma2_hat)
+    eta_hat, value, stats = minimize_box(theta_ls, noise, spec, opts)
     p_mat = kernel_matrix(spec, eta_hat, data.order)[0]
     theta_tr = rls_estimate(data, p_mat, sigma2_hat)
     return EbFit(

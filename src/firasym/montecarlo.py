@@ -111,24 +111,27 @@ class CollectionTheory:
 
 @dataclass
 class AggregateMetrics:
-    """Per-collection summary, averaged over systems."""
+    """Per-collection summary, averaged over the systems with surviving
+    records; ``records_per_system`` is the fewest surviving records of any
+    of them.  A collection without surviving records keeps its entry, with
+    zero counts and None statistics."""
 
     a: float
     cu2: float
     systems: int
     records_per_system: int
-    eta_mean: list[float]
-    eta_variance: list[float]
-    eta_bias_sq: float
-    smse_g: float
-    amse_1: float
-    amse_2: float
-    amse_3: float
+    eta_mean: list[float] | None
+    eta_variance: list[float] | None
+    eta_bias_sq: float | None
+    smse_g: float | None
+    amse_1: float | None
+    amse_2: float | None
+    amse_3: float | None
     num_sys_1: int
     num_sys_2: int
     num_sys_3: int
-    mean_fit_g: float
-    mean_cond_phitphi: float
+    mean_fit_g: float | None
+    mean_cond_phitphi: float | None
     excluded: int
 
 
@@ -342,6 +345,7 @@ def aggregate_records(
             flags = compare_amse(smse, th.amse)
             per_system.append(
                 {
+                    "count": count,
                     "eta_mean": eta_mean,
                     "eta_var": eta_var,
                     "bias_sq": bias_sq,
@@ -353,22 +357,19 @@ def aggregate_records(
                 }
             )
         m = len(per_system)
-        if m == 0:
-            continue
 
         def avg(key, idx=None):
-            if idx is None:
-                return math.fsum(s[key] for s in per_system) / m
-            return math.fsum(s[key][idx] for s in per_system) / m
+            values = [s[key] if idx is None else s[key][idx] for s in per_system]
+            return math.fsum(values) / m if m else None
 
         out.append(
             AggregateMetrics(
                 a=a,
                 cu2=cu2,
                 systems=m,
-                records_per_system=config.records,
-                eta_mean=[avg("eta_mean", k) for k in range(p)],
-                eta_variance=[avg("eta_var", k) for k in range(p)],
+                records_per_system=min((s["count"] for s in per_system), default=0),
+                eta_mean=[avg("eta_mean", k) for k in range(p)] if m else None,
+                eta_variance=[avg("eta_var", k) for k in range(p)] if m else None,
                 eta_bias_sq=avg("bias_sq"),
                 smse_g=avg("smse"),
                 amse_1=avg("amse", 0),
@@ -402,7 +403,8 @@ def table1(
         for rec in range(records):
             rng = derive_stream(seed, _TABLE_TAG, a_idx, rec)
             u = generate_input(filt, n, n_samples, rng)
-            eigs = np.linalg.eigvalsh(lag_matrix(u, n).T @ lag_matrix(u, n))
+            phi = lag_matrix(u, n)
+            eigs = np.linalg.eigvalsh(phi.T @ phi)
             conds.append(float(eigs[-1] / eigs[0]))
         rows.append(
             {

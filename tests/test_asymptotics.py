@@ -25,6 +25,7 @@ from firasym import (
     generate_input,
     generate_t1,
     impulse_response,
+    kernel_matrix,
     ridge_report,
     second_order_stats,
     sigma_matrix,
@@ -175,6 +176,15 @@ class TestEtaStar:
         # within one grid cell of the discrete optimum
         assert abs(math.log(star[0] / arg[0])) <= math.log(c_grid[1] / c_grid[0]) * 1.5
 
+    def test_floating_point_errors_stay_inside_the_search(self):
+        # the SS polish probes decay rates where P vanishes numerically and
+        # the cost is NaN; such points fail quietly instead of raising
+        theta = 5.0 * np.exp(-0.3 * np.arange(1, 21))
+        spec = KernelSpec.ss()
+        expected = eta_star(spec, theta)
+        with np.errstate(all="raise", under="ignore"):
+            np.testing.assert_array_equal(eta_star(spec, theta), expected)
+
 
 class TestHyperParameterLaw:
     def test_ridge_symbolic_blocks(self):
@@ -234,6 +244,24 @@ class TestHyperParameterLaw:
                     + f(star - ekk - emm)
                 ) / (4.0 * steps[k] * steps[m])
         np.testing.assert_allclose(out.a_b, hess, rtol=1e-5, atol=1e-7 * np.abs(hess).max())
+
+    @pytest.mark.parametrize("spec", [KernelSpec.tc(), KernelSpec.dc()], ids=["tc", "dc"])
+    def test_sensitivity_matches_fd_derivative(self, spec):
+        # b_b[k] = theta0' d(P^-1)/d(eta_k), by central differences of P^-1 theta0
+        k_idx = np.arange(1, 11)
+        theta = 5.0 * np.exp(-0.25 * k_idx) * np.cos(0.9 * k_idx + 0.3)
+        star = eta_star(spec, theta)
+        sigma = sigma_matrix(FilterSpec(SecondOrderAR(a=0.3, c_u=1.0)), theta.size)
+        out = hyper_parameter_law(spec, theta, star, sigma, 1.0)
+        solve = lambda e: np.linalg.solve(kernel_matrix(spec, e, theta.size)[0], theta)
+        lo, hi = spec.omega.T
+        for k in range(spec.p):
+            step = np.zeros(spec.p)
+            step[k] = 1e-5 * min(abs(star[k]), hi[k] - star[k], star[k] - lo[k])
+            fd = (solve(star + step) - solve(star - step)) / (2.0 * step[k])
+            np.testing.assert_allclose(
+                out.b_b[k], fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max()
+            )
 
 
 class TestLsErrorCovariances:
@@ -341,6 +369,13 @@ class TestRegularizedErrorMoments:
 
     def test_order_one_mse_below_order_two(self):
         assert self.t3.amse[0] <= self.t3.amse[1]
+
+    def test_carries_the_ls_error_covariances(self):
+        v1, v2, _ = ls_error_covariances(
+            self.stats.sigma, self.stats.c_gamma, self.noise.sigma2, 1000
+        )
+        np.testing.assert_array_equal(self.t3.v_als_1, v1)
+        np.testing.assert_array_equal(self.t3.v_als_2, v2)
 
 
 class TestRidgeEquivalence:

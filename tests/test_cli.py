@@ -231,6 +231,21 @@ class TestStrict:
         for args in runs:
             assert main(args + ["--strict", "--out", str(tmp_path)]) == 0
 
+    def test_ss_report_passes(self, tmp_path):
+        # the SS eta_star search probes points where the cost is NaN; those
+        # fail inside the search and must not reach --strict
+        cfg = write_config(
+            tmp_path,
+            {
+                "kernel": {"family": "ss"},
+                "theta0": (5.0 * np.exp(-0.3 * np.arange(1, 21))).tolist(),
+                "filter": {"a": 0.7, "cu2": 0.5},
+                "noise": {"sigma2": 1.0},
+                "N": 1000,
+            },
+        )
+        assert main(["asym", "--config", cfg, "--strict", "--out", str(tmp_path)]) == 0
+
     def test_degenerate_bound_warning_escalates(self, tmp_path, monkeypatch):
         original = cli.asymptotic_report
 

@@ -1,9 +1,14 @@
 """Experiment runner: determinism, aggregation, scoring, persistence."""
 
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import firasym.montecarlo as montecarlo
 from firasym import (
@@ -19,6 +24,7 @@ from firasym import (
     table1,
 )
 from firasym.montecarlo import (
+    RecordResult,
     aggregate_records,
     aggregates_json_dict,
     csv_columns,
@@ -114,6 +120,44 @@ class TestRunExperiment:
         assert len(out.failures) == 1
         assert [agg.excluded for agg in out.aggregates] == [0, 1]
 
+    def test_collection_without_records_keeps_its_entry(self, monkeypatch):
+        # every record of the second collection fails
+        original = montecarlo.generate_input
+
+        def failing(filt, *args):
+            if filt.kind.a == 0.5:
+                raise NotPositiveDefiniteError("injected failure")
+            return original(filt, *args)
+
+        monkeypatch.setattr(montecarlo, "generate_input", failing)
+        config = small_config()
+        out = run_experiment(config)
+        assert len(out.failures) == config.systems * config.records
+        assert [agg.excluded for agg in out.aggregates] == [0, 12]
+        agg = out.aggregates[1]
+        assert (agg.systems, agg.records_per_system) == (0, 0)
+        assert (agg.num_sys_1, agg.num_sys_2, agg.num_sys_3) == (0, 0, 0)
+        for name in AGGREGATE_STATISTICS:
+            assert getattr(agg, name) is None, name
+        # null, not NaN, in aggregates.json
+        json.dumps(aggregates_json_dict(out), allow_nan=False)
+
+    def test_records_per_system_counts_survivors(self, monkeypatch):
+        # the first record drawn for the second collection (system 0) fails
+        original = montecarlo.generate_input
+        failed = []
+
+        def flaky(filt, *args):
+            if filt.kind.a == 0.5 and not failed:
+                failed.append(True)
+                raise NotPositiveDefiniteError("injected failure")
+            return original(filt, *args)
+
+        monkeypatch.setattr(montecarlo, "generate_input", flaky)
+        out = run_experiment(small_config(records=2))
+        assert [agg.records_per_system for agg in out.aggregates] == [2, 1]
+        assert [agg.systems for agg in out.aggregates] == [2, 2]
+
     def test_duplicate_filters_rejected(self):
         with pytest.raises(ValueError, match=r"filters\[2\]: duplicate of filters\[0\]"):
             small_config(filters=[(0.1, 0.5), (0.5, 0.5), (0.1, 0.5)])
@@ -134,7 +178,88 @@ class TestRunExperiment:
         assert agg.smse_g == pytest.approx(math.fsum(per_sys) / len(per_sys), rel=1e-14)
 
 
+AGGREGATE_STATISTICS = (
+    "eta_mean",
+    "eta_variance",
+    "eta_bias_sq",
+    "smse_g",
+    "amse_1",
+    "amse_2",
+    "amse_3",
+    "mean_fit_g",
+    "mean_cond_phitphi",
+)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def record_results(draw, p):
+    return RecordResult(
+        record_id=draw(st.integers(0, 10**6)),
+        system_id=draw(st.integers(0, 10**3)),
+        a=draw(finite),
+        cu2=draw(finite),
+        eta_hat=tuple(draw(finite) for _ in range(p)),
+        sigma2_hat=draw(finite),
+        mse_g=draw(finite),
+        fit_g=draw(finite),
+        cond_phitphi=draw(finite),
+        cost=draw(finite),
+        converged=draw(st.booleans()),
+        at_boundary=draw(st.booleans()),
+    )
+
+
+# signed zeros, subnormals and the float64 extremes
+EDGE_RECORD = RecordResult(
+    record_id=0,
+    system_id=0,
+    a=-0.0,
+    cu2=5e-324,
+    eta_hat=(-5e-324, 2.2250738585072e-308),
+    sigma2_hat=2.2250738585072014e-308,
+    mse_g=-0.0,
+    fit_g=0.0,
+    cond_phitphi=1.7976931348623157e308,
+    cost=-1.7976931348623157e308,
+    converged=True,
+    at_boundary=False,
+)
+
+
+def float_bits(rec: RecordResult) -> list[str]:
+    """Every float field in hex, so -0.0 and 0.0 differ."""
+    values = [rec.a, rec.cu2, *rec.eta_hat, rec.sigma2_hat, rec.mse_g]
+    values += [rec.fit_g, rec.cond_phitphi, rec.cost]
+    return [float.hex(x) for x in values]
+
+
+@pytest.fixture(scope="module")
+def small_run():
+    config = small_config()
+    return config, run_experiment(config)
+
+
 class TestPersistence:
+    @given(st.integers(1, 3).flatmap(lambda p: st.lists(record_results(p), max_size=5)))
+    @example([EDGE_RECORD])
+    def test_csv_roundtrip_is_exact(self, records):
+        p = len(records[0].eta_hat) if records else 1
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.csv")
+            write_records_csv(path, records, p, {"seed": 1})
+            back = read_records_csv(path)
+        assert back == records
+        assert [float_bits(r) for r in back] == [float_bits(r) for r in records]
+
+    @given(st.permutations(range(24)))  # the records of small_config()
+    def test_aggregates_do_not_depend_on_record_order(self, small_run, order):
+        config, out = small_run
+        shuffled = [out.records[i] for i in order]
+        rebuilt = aggregate_records(config, shuffled, out.theory, [0, 0])
+        assert [vars(a) for a in rebuilt] == [vars(a) for a in out.aggregates]
+
     def test_csv_roundtrip_and_rereduction(self, tmp_path):
         config = small_config()
         out = run_experiment(config)
