@@ -58,10 +58,11 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SecondOrderStats:
-    """Input covariance Sigma with its eigensystem and the fourth-moment
-    matrix of the scaled Gram deviation."""
+    """Input covariance Sigma with its inverse and eigensystem, and the
+    fourth-moment matrix of the scaled Gram deviation."""
 
     sigma: np.ndarray
+    sigma_inv: np.ndarray
     c_gamma: np.ndarray
     eigenvalues: np.ndarray  # descending
     eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
@@ -71,12 +72,14 @@ class SecondOrderStats:
 @dataclass
 class HyperParameterLaw:
     """Curvature a_b, sensitivity rows b_b, and the limiting covariance
-    v_b_h of the scaled hyper-parameter error."""
+    v_b_h of the scaled hyper-parameter error, with the inverses of P(eta*)
+    and a_b that the third-order blocks reuse."""
 
     a_b: np.ndarray
     b_b: np.ndarray
     v_b_h: np.ndarray
-    a_b_singular: bool
+    p_inv: np.ndarray
+    a_inv: np.ndarray
 
 
 @dataclass
@@ -256,6 +259,7 @@ def second_order_stats(filt: FilterSpec, n: int) -> SecondOrderStats:
     vectors = vectors[:, order]
     return SecondOrderStats(
         sigma=sigma,
+        sigma_inv=_pd_inverse(sigma),
         c_gamma=c_gamma(filt, n),
         eigenvalues=values,
         eigenvectors=vectors,
@@ -289,11 +293,11 @@ def eta_star(
     return eta
 
 
-def _robust_inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
+def _robust_inverse(mat: np.ndarray, what: str) -> np.ndarray:
     """Cholesky inverse with an eigenvalue-thresholded pseudo-inverse
     fallback (threshold 1e-12 of the largest magnitude eigenvalue)."""
     try:
-        return _pd_inverse(mat), False
+        return _pd_inverse(mat)
     except np.linalg.LinAlgError:
         warnings.warn(
             f"{what} is not positive definite; using a pseudo-inverse",
@@ -302,7 +306,7 @@ def _robust_inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
         values, vectors = np.linalg.eigh(_sym(mat))
         cut = 1e-12 * float(np.max(np.abs(values))) if mat.size else 0.0
         inv_vals = np.where(np.abs(values) > cut, 1.0 / values, 0.0)
-        return _sym((vectors * inv_vals) @ vectors.T), True
+        return _sym((vectors * inv_vals) @ vectors.T)
 
 
 def hyper_parameter_law(
@@ -325,11 +329,11 @@ def hyper_parameter_law(
     p_inv = _pd_inverse(P)
     a_b = _reduced_cost_grad(eta_star_value, theta0, 0.0, spec, hessian=True)[2]
     b_b = -(dP @ (p_inv @ theta0)) @ p_inv
-    a_inv, singular = _robust_inverse(a_b, "curvature matrix")
+    a_inv = _robust_inverse(a_b, "curvature matrix")
     half = a_inv @ b_b  # p x n
     v_b_h = 4.0 * sigma2 * half @ np.linalg.solve(sigma, half.T)
     return HyperParameterLaw(
-        a_b=a_b, b_b=b_b, v_b_h=_sym(v_b_h), a_b_singular=singular
+        a_b=a_b, b_b=b_b, v_b_h=_sym(v_b_h), p_inv=p_inv, a_inv=a_inv
     )
 
 
@@ -359,55 +363,46 @@ def _rank1_gram_contraction(
 
 
 def ls_error_covariances(
-    sigma: np.ndarray,
-    c_gamma_mat: np.ndarray,
-    sigma2: float,
-    n_samples: int,
+    stats: SecondOrderStats, sigma2: float, n_samples: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First- and second-order covariance of the scaled LS error.
 
     Returns (v1, v2, v1 + v2 / N) with v1 = sigma2 Sigma^-1 and
     v2 = sigma2 * unvec[(Sigma^-1 kron Sigma^-1) c_gamma vec(Sigma^-1)].
     """
-    s_inv = _pd_inverse(sigma)
+    s_inv = stats.sigma_inv
     v1 = sigma2 * s_inv
-    v2 = sigma2 * s_inv @ unvec(c_gamma_mat @ vec(s_inv)) @ s_inv
+    v2 = sigma2 * s_inv @ unvec(stats.c_gamma @ vec(s_inv)) @ s_inv
     v2 = _sym(v2)
     return v1, v2, v1 + v2 / n_samples
 
 
 def regularized_error_moments(
-    spec: KernelSpec,
     theta0: np.ndarray,
-    eta_star_value: np.ndarray,
-    a_b: np.ndarray,
-    b_b: np.ndarray,
-    sigma: np.ndarray,
-    c_gamma_mat: np.ndarray,
+    law: HyperParameterLaw,
+    stats: SecondOrderStats,
     noise: NoiseSpec,
     n_samples: int,
 ) -> RegularizedErrorMoments:
     """Mean and covariance blocks of the third-order law of the scaled
-    regularized-estimate error, plus the order-1/2/3 MSE approximations."""
+    regularized-estimate error, plus the order-1/2/3 MSE approximations.
+    The inverses of P(eta*), a_b and Sigma are read from ``law`` and
+    ``stats``."""
     theta0 = np.asarray(theta0, dtype=float)
-    n = theta0.size
     sigma2 = noise.sigma2
-    P = kernel_matrix(spec, eta_star_value, n)[0]
-    p_inv = _pd_inverse(P)
-    s_inv = _pd_inverse(sigma)
-    a_inv, _ = _robust_inverse(a_b, "curvature matrix")
-    c_b = _sym(-2.0 * b_b.T @ a_inv @ b_b + p_inv)
+    p_inv, s_inv = law.p_inv, stats.sigma_inv
+    c_b = _sym(-2.0 * law.b_b.T @ law.a_inv @ law.b_b + p_inv)
 
     w = s_inv @ (p_inv @ theta0)
     vartheta_b2 = -sigma2 * w
     e_b_ar = vartheta_b2 / math.sqrt(n_samples)
 
     v_b3_11 = _sym(sigma2**3 * s_inv @ c_b @ s_inv @ c_b @ s_inv)
-    v_b3_12 = _rank1_gram_contraction(c_gamma_mat, s_inv, p_inv, theta0, sigma2**2)
+    v_b3_12 = _rank1_gram_contraction(stats.c_gamma, s_inv, p_inv, theta0, sigma2**2)
     v_b3_13 = (noise.fourth_moment - sigma2**2) * np.outer(w, w)
     v_b3_2 = _sym(-(sigma2**2) * s_inv @ c_b @ s_inv)
 
-    v1, v2, v_als = ls_error_covariances(sigma, c_gamma_mat, sigma2, n_samples)
+    v1, v2, v_als = ls_error_covariances(stats, sigma2, n_samples)
     v_b3_1 = v_b3_11 + v_b3_12 + v_b3_13
     v_b_ar = v_als + v_b3_1 / n_samples**2 + (v_b3_2 + v_b3_2.T) / n_samples
 
@@ -445,9 +440,7 @@ def asymptotic_report(
     stats = second_order_stats(filt, theta0.size)
     star = eta_star(spec, theta0, opts)
     t1 = hyper_parameter_law(spec, theta0, star, stats.sigma, noise.sigma2)
-    t3 = regularized_error_moments(
-        spec, theta0, star, t1.a_b, t1.b_b, stats.sigma, stats.c_gamma, noise, n_samples
-    )
+    t3 = regularized_error_moments(theta0, t1, stats, noise, n_samples)
     return AsymptoticReport(
         eta_star=star,
         a_b=t1.a_b,
@@ -492,7 +485,7 @@ def ridge_report(
     sigma2 = noise.sigma2
     if stats is None:
         stats = second_order_stats(filt, n)
-    s_inv = _pd_inverse(stats.sigma)
+    s_inv = stats.sigma_inv
     st = s_inv @ theta0
 
     star = np.array([s / n])
@@ -500,7 +493,7 @@ def ridge_report(
     b_b = -(n**2 / s**2) * theta0[None, :]
     v_b_h = np.array([[4.0 * sigma2 / n**2 * float(theta0 @ st)]])
 
-    v1, v2, v_als = ls_error_covariances(stats.sigma, stats.c_gamma, sigma2, n_samples)
+    v1, v2, v_als = ls_error_covariances(stats, sigma2, n_samples)
 
     c_b = (n / s) * np.eye(n) - (2.0 * n / s**2) * np.outer(theta0, theta0)
     e_b_ar = -(n * sigma2 / s) / math.sqrt(n_samples) * st
@@ -565,10 +558,9 @@ def expansion_terms(
     n_samples = data.n_samples
     theta0 = data.system.theta0
     root_n = math.sqrt(n_samples)
-    gram = data.phi.T @ data.phi
-    g_inv = _pd_inverse(gram)
+    g_inv = _pd_inverse(data.gram)
     s_inv = _pd_inverse(sigma)
-    p_star_inv = _pd_inverse(kernel_matrix(fit.kernel, eta_star_value, n)[0])
+    p_star_inv = _pd_inverse(kernel_matrix(fit.kernel, eta_star_value, n, order=0)[0])
 
     scaled_cross = root_n * (data.phi.T @ data.v) / n_samples
     theta_als_1 = s_inv @ scaled_cross
@@ -576,7 +568,7 @@ def expansion_terms(
     limit_shrink = sigma2 * s_inv @ (p_star_inv @ theta0)
     vartheta_b2 = -limit_shrink
 
-    p_hat = kernel_matrix(fit.kernel, fit.eta_hat, n)[0]
+    p_hat = kernel_matrix(fit.kernel, fit.eta_hat, n, order=0)[0]
     s_hat = p_hat + fit.sigma2_hat * g_inv
     theta_b3 = -root_n * (
         fit.sigma2_hat * n_samples * g_inv @ np.linalg.solve(s_hat, fit.theta_ls)

@@ -95,6 +95,8 @@ def _field(cfg: dict, path: str, kind, required: bool = True, default=None):
                 raise ConfigError(f"missing field: {path}")
             return default
         node = node[part]
+    if isinstance(node, bool):  # JSON true/false would pass as the int 1/0
+        raise ConfigError(f"field {path}: expected {kind.__name__}")
     if kind is float and isinstance(node, int):
         node = float(node)
     if kind is int and isinstance(node, float) and node.is_integer():
@@ -102,6 +104,13 @@ def _field(cfg: dict, path: str, kind, required: bool = True, default=None):
     if not isinstance(node, kind):
         raise ConfigError(f"field {path}: expected {kind.__name__}")
     return node
+
+
+def _int_at_least(cfg: dict, path: str, minimum: int, **kwargs) -> int:
+    value = _field(cfg, path, int, **kwargs)
+    if value < minimum:
+        raise ConfigError(f"field {path}: expected >= {minimum}")
+    return value
 
 
 def _config_hash(cfg: dict) -> str:
@@ -175,16 +184,24 @@ def _optimizer_from_config(cfg: dict) -> OptimizerOptions:
     for key in _field(cfg, "optimizer", dict, required=False, default={}):
         if key not in known:
             raise ConfigError(f"unknown field: optimizer.{key}")
-    starts = _field(cfg, "optimizer.starts", int, required=False, default=3)
-    if starts < 1:
-        raise ConfigError("field optimizer.starts: expected >= 1")
     return OptimizerOptions(
-        starts=starts,
+        starts=_int_at_least(cfg, "optimizer.starts", 1, required=False, default=3),
         max_iters=_field(cfg, "optimizer.max_iters", int, required=False, default=400),
         tol_cost=_field(
             cfg, "optimizer.tol_cost", float, required=False, default=1e-12
         ),
     )
+
+
+def _filters_from_config(cfg: dict) -> list[tuple[float, float]]:
+    pairs = _field(cfg, "filters", list)
+    for i, pair in enumerate(pairs):
+        numbers = isinstance(pair, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair
+        )
+        if not numbers or len(pair) != 2:
+            raise ConfigError(f"field filters[{i}]: expected [a, cu2]")
+    return [tuple(pair) for pair in pairs]
 
 
 # ----------------------------------------------------------------- commands
@@ -220,20 +237,22 @@ def cmd_mc(args) -> int:
         cfg, "seed", int, required=False, default=0
     )
     system_type = _field(cfg, "system.type", str)
+    if system_type not in ("T1", "T2", "explicit"):
+        raise ConfigError("field system.type: expected T1, T2 or explicit")
     theta0 = None
     if system_type == "explicit":
         theta0 = np.asarray(_field(cfg, "system.theta0", list), dtype=float)
-    filters = _field(cfg, "filters", list)
+    n = _int_at_least(cfg, "n", 1)
     try:
         config = ExperimentConfig(
             kernel=_kernel_from_config(cfg),
             system_type=system_type,
-            n=_field(cfg, "n", int),
-            n_samples=_field(cfg, "N", int),
-            filters=[tuple(pair) for pair in filters],
+            n=n,
+            n_samples=_int_at_least(cfg, "N", n + 1),
+            filters=_filters_from_config(cfg),
             noise=_noise_from_config(cfg),
-            records=_field(cfg, "records", int),
-            systems=_field(cfg, "system.count", int, required=False, default=1),
+            records=_int_at_least(cfg, "records", 1),
+            systems=_int_at_least(cfg, "system.count", 1, required=False, default=1),
             master_seed=seed,
             theta0=theta0,
             sigma_e2=_field(cfg, "sigma_e2", float, required=False, default=1.0),
@@ -347,16 +366,29 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------------- main
 
 
+def _checked(kind, accept, rule: str):
+    """argparse type: a ``kind`` value that satisfies ``accept``.  argparse
+    names the flag of a rejected value and exits with code 2."""
+
+    def parse(value: str):
+        try:
+            x = kind(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {value!r}")
+        if not accept(x):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return x
+
+    return parse
+
+
+_POLE = _checked(float, lambda x: 0.0 <= x < 1.0, "in [0, 1)")
+_COUNT = _checked(int, lambda x: x >= 1, ">= 1")
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+
+
 def _parse_threads(value: str) -> int:
-    if value == "auto":
-        return os.cpu_count() or 1
-    try:
-        threads = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("threads must be 'auto' or an integer")
-    if threads < 1:
-        raise argparse.ArgumentTypeError("threads must be >= 1")
-    return threads
+    return (os.cpu_count() or 1) if value == "auto" else _COUNT(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,25 +430,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_t1 = sub.add_parser("table1", help="condition numbers of Sigma and Phi'Phi")
     common(p_t1, needs_config=False)
-    p_t1.add_argument("--a", type=float, nargs="+", default=[0.05, 0.7, 0.95])
-    p_t1.add_argument("--n", type=int, default=20)
+    p_t1.add_argument("--a", type=_POLE, nargs="+", default=[0.05, 0.7, 0.95])
+    p_t1.add_argument("--n", type=_COUNT, default=20)
     p_t1.add_argument("--N", type=int, default=1000)
-    p_t1.add_argument("--records", type=int, default=500)
+    p_t1.add_argument("--records", type=_COUNT, default=500)
     p_t1.set_defaults(func=cmd_table1)
 
     p_sw = sub.add_parser("sweep", help="ridge limit quantities over a pole grid")
     common(p_sw, needs_config=False)
-    p_sw.add_argument("--grid-points", type=int, default=100)
-    p_sw.add_argument("--a-max", type=float, default=0.99)
-    p_sw.add_argument("--n", type=int, default=20)
+    p_sw.add_argument("--grid-points", type=_COUNT, default=100)
+    p_sw.add_argument("--a-max", type=_POLE, default=0.99)
+    p_sw.add_argument("--n", type=_COUNT, default=20)
     p_sw.add_argument("--N", type=int, nargs="+", default=[1000, 100000])
-    p_sw.add_argument("--sigma2", type=float, default=1.0)
+    p_sw.add_argument("--sigma2", type=_POSITIVE, default=1.0)
     p_sw.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("table1", "sweep") and min(np.atleast_1d(args.N)) <= args.n:
+        parser.error(f"argument --N: must exceed --n ({args.n})")
     if args.seed is None:
         args.seed = 0 if args.command in ("table1", "sweep") else None
     os.makedirs(args.out, exist_ok=True)

@@ -285,9 +285,8 @@ def rls_estimate(data: Dataset, p_mat: np.ndarray, sigma2: float) -> np.ndarray:
         chol_p = np.linalg.cholesky(p_mat)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("kernel matrix is not positive definite") from None
-    gram = data.phi.T @ data.phi
     b = data.phi.T @ data.y
-    inner = chol_p.T @ gram @ chol_p + sigma2 * np.eye(data.order)
+    inner = chol_p.T @ data.gram @ chol_p + sigma2 * np.eye(data.order)
     try:
         w = cho_solve(cho_factor(inner), chol_p.T @ b)
     except np.linalg.LinAlgError:
@@ -575,9 +574,9 @@ def eb_estimate(
     theta_ls = ls_estimate(data)
     resid = data.y - data.phi @ theta_ls
     sigma2_hat = float(resid @ resid) / (data.n_samples - data.order)
-    noise = _noise_term(data.phi.T @ data.phi, sigma2_hat)
+    noise = _noise_term(data.gram, sigma2_hat)
     eta_hat, value, stats = minimize_box(theta_ls, noise, spec, opts)
-    p_mat = kernel_matrix(spec, eta_hat, data.order)[0]
+    p_mat = kernel_matrix(spec, eta_hat, data.order, order=0)[0]
     theta_tr = rls_estimate(data, p_mat, sigma2_hat)
     return EbFit(
         eta_hat=eta_hat,

@@ -77,7 +77,9 @@ class ExperimentConfig:
         self.filters = [(float(a), float(cu2)) for a, cu2 in self.filters]
         for i, (a, cu2) in enumerate(self.filters):
             if not 0.0 <= a < 1.0 or cu2 <= 0.0:
-                raise ValueError(f"invalid filter point (a={a}, cu2={cu2})")
+                raise ValueError(
+                    f"filters[{i}]: invalid filter point (a={a}, cu2={cu2})"
+                )
             if (a, cu2) in self.filters[:i]:
                 raise ValueError(
                     f"filters[{i}]: duplicate of filters[{self.filters.index((a, cu2))}]"
@@ -204,15 +206,7 @@ def experiment_theory(
                 config.noise.sigma2,
             )
             t3 = regularized_error_moments(
-                config.kernel,
-                system.theta0,
-                star,
-                t1.a_b,
-                t1.b_b,
-                stats.sigma,
-                stats.c_gamma,
-                config.noise,
-                config.n_samples,
+                system.theta0, t1, stats, config.noise, config.n_samples
             )
             theory[sys_id, coll_id] = CollectionTheory(
                 eta_star=star,
@@ -246,7 +240,7 @@ def _run_task(task: tuple[int, int, int]):
         u = generate_input(filt, config.n, config.n_samples, rng)
         data = build_dataset(system, u, config.noise, rng)
         fit = eb_estimate(data, config.kernel, config.optimizer)
-        gram_eigs = np.linalg.eigvalsh(data.phi.T @ data.phi)
+        gram_eigs = np.linalg.eigvalsh(data.gram)
         err = fit.theta_tr - system.theta0
         return RecordResult(
             record_id=rec_id,

@@ -7,6 +7,7 @@ response h(k) = c_u * (k+1) * a^k, and an explicit finite impulse sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -121,7 +122,8 @@ class Dataset:
 
     ``u`` holds the input on t = 1-n ... N-1, so u(t) = u[t + n - 1].
     Row t of ``phi`` is [u(t-1), ..., u(t-n)].  ``v`` is the realized noise
-    (kept for expansion-identity checks) or None when unknown.
+    (kept for expansion-identity checks) or None when unknown.  ``gram`` is
+    formed on first use and cached, so ``phi`` must not change after that.
     """
 
     phi: np.ndarray
@@ -138,6 +140,11 @@ class Dataset:
     @property
     def order(self) -> int:
         return self.phi.shape[1]
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """Regression Gram matrix Phi' Phi."""
+        return self.phi.T @ self.phi
 
 
 def impulse_response(filt: FilterSpec, tail_tol: float) -> np.ndarray:
@@ -261,14 +268,14 @@ def build_dataset(
     else:
         v = rng.standard_normal(n_samples) * math.sqrt(noise.sigma2)
     y = phi @ system.theta0 + v
-    gram = phi.T @ phi
+    data = Dataset(phi=phi, y=y, u=u, v=v, system=system, noise=noise)
     try:
-        np.linalg.cholesky(gram)
+        np.linalg.cholesky(data.gram)
     except np.linalg.LinAlgError:
         raise RankDeficientError(
             f"regression matrix is rank deficient (N={n_samples}, n={n})"
         ) from None
-    return Dataset(phi=phi, y=y, u=u, v=v, system=system, noise=noise)
+    return data
 
 
 def generate_t1(n: int, rng: RandomStream) -> FirSystem:

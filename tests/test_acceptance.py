@@ -200,7 +200,7 @@ def test_criterion_6_ls_error_covariance():
     filt = FilterSpec(SecondOrderAR(a=0.7, c_u=math.sqrt(0.5)))
     noise = NoiseSpec(1.0)
     stats = second_order_stats(filt, n)
-    _, _, v_als = ls_error_covariances(stats.sigma, stats.c_gamma, noise.sigma2, n_samples)
+    _, _, v_als = ls_error_covariances(stats, noise.sigma2, n_samples)
     root_n = math.sqrt(n_samples)
     total = np.zeros(n)
     outer = np.zeros((n, n))

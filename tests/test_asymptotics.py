@@ -14,6 +14,7 @@ from firasym import (
     KernelSpec,
     NoiseSpec,
     SecondOrderAR,
+    SingularHessianWarning,
     asymptotic_report,
     build_dataset,
     c_gamma,
@@ -35,6 +36,7 @@ from firasym import (
     unvec,
     vec,
 )
+from firasym import asymptotics
 from firasym.asymptotics import prior_fit_cost
 
 REPORT_FIELDS = [
@@ -267,13 +269,13 @@ class TestHyperParameterLaw:
 class TestLsErrorCovariances:
     def test_white_noise_first_order(self):
         stats = second_order_stats(FilterSpec(SecondOrderAR(a=0.0, c_u=1.0)), 6)
-        v1, v2, v_als = ls_error_covariances(stats.sigma, stats.c_gamma, 0.9, 1000)
+        v1, v2, v_als = ls_error_covariances(stats, 0.9, 1000)
         np.testing.assert_allclose(v1, 0.9 * np.eye(6), rtol=1e-14)
         np.testing.assert_allclose(v_als, v1 + v2 / 1000, rtol=1e-14)
 
     def test_second_order_block_psd(self):
         stats = second_order_stats(FilterSpec(SecondOrderAR(a=0.7, c_u=0.5)), 10)
-        _, v2, _ = ls_error_covariances(stats.sigma, stats.c_gamma, 1.0, 1000)
+        _, v2, _ = ls_error_covariances(stats, 1.0, 1000)
         np.testing.assert_allclose(v2, v2.T, rtol=0, atol=1e-12 * np.abs(v2).max())
         assert np.linalg.eigvalsh(v2)[0] >= -1e-10 * np.linalg.norm(v2)
 
@@ -291,15 +293,7 @@ class TestRegularizedErrorMoments:
             self.spec, self.theta, self.star, self.stats.sigma, self.noise.sigma2
         )
         self.t3 = regularized_error_moments(
-            self.spec,
-            self.theta,
-            self.star,
-            self.t1.a_b,
-            self.t1.b_b,
-            self.stats.sigma,
-            self.stats.c_gamma,
-            self.noise,
-            1000,
+            self.theta, self.t1, self.stats, self.noise, 1000
         )
 
     def test_ridge_mean_term(self):
@@ -331,9 +325,7 @@ class TestRegularizedErrorMoments:
         # blocks are PSD and the cross block satisfies exactly
         #   v_b3_1 - v_b3_2' v1^-1 v_b3_2 = v_b3_12 + v_b3_13  (>= 0)
         n = self.theta.size
-        v1, v2, _ = ls_error_covariances(
-            self.stats.sigma, self.stats.c_gamma, self.noise.sigma2, 1000
-        )
+        v1, v2, _ = ls_error_covariances(self.stats, self.noise.sigma2, 1000)
         v_b3_1 = self.t3.v_b3_11 + self.t3.v_b3_12 + self.t3.v_b3_13
         joint = np.zeros((3 * n, 3 * n))
         joint[:n, :n] = v1
@@ -359,10 +351,7 @@ class TestRegularizedErrorMoments:
         filt = FilterSpec(SecondOrderAR(a=0.0, c_u=1.0))
         stats = second_order_stats(filt, n)
         t1 = hyper_parameter_law(self.spec, theta, self.star, stats.sigma, 1.0)
-        t3 = regularized_error_moments(
-            self.spec, theta, self.star, t1.a_b, t1.b_b,
-            stats.sigma, stats.c_gamma, NoiseSpec(1.0), 1000,
-        )
+        t3 = regularized_error_moments(theta, t1, stats, NoiseSpec(1.0), 1000)
         eigs = np.linalg.eigvalsh(t3.v_b3_2)
         assert eigs[-1] == pytest.approx(n / s, rel=1e-8)
         assert eigs[0] == pytest.approx(-n / s, rel=1e-8)
@@ -371,9 +360,7 @@ class TestRegularizedErrorMoments:
         assert self.t3.amse[0] <= self.t3.amse[1]
 
     def test_carries_the_ls_error_covariances(self):
-        v1, v2, _ = ls_error_covariances(
-            self.stats.sigma, self.stats.c_gamma, self.noise.sigma2, 1000
-        )
+        v1, v2, _ = ls_error_covariances(self.stats, self.noise.sigma2, 1000)
         np.testing.assert_array_equal(self.t3.v_als_1, v1)
         np.testing.assert_array_equal(self.t3.v_als_2, v2)
 
@@ -500,3 +487,46 @@ class TestConditionBounds:
             out = hyper_parameter_law(KernelSpec.ridge(), theta, star, sigma, 1.0)
             traces.append(float(np.trace(out.v_b_h)))
         assert all(t2 > t1 for t1, t2 in zip(traces, traces[1:]))
+
+
+class TestFactorOnce:
+    """Sigma, P(eta*) and a_b are each inverted once per report."""
+
+    theta = 5.0 * np.exp(-0.3 * np.arange(1, 21))
+    filt = FilterSpec(SecondOrderAR(a=0.7, c_u=math.sqrt(0.5)))
+    noise = NoiseSpec(1.0)
+
+    def count_inverses(self, monkeypatch, build):
+        shapes = []
+        original = asymptotics._pd_inverse
+
+        def counted(mat):
+            shapes.append(mat.shape)
+            return original(mat)
+
+        monkeypatch.setattr(asymptotics, "_pd_inverse", counted)
+        build()
+        return sorted(shapes)
+
+    def test_generic_report_inverts_each_matrix_once(self, monkeypatch):
+        shapes = self.count_inverses(
+            monkeypatch,
+            lambda: asymptotic_report(
+                KernelSpec.tc(), self.theta, self.filt, self.noise, 1000
+            ),
+        )
+        assert shapes == [(2, 2), (20, 20), (20, 20)]
+
+    def test_ridge_report_inverts_sigma_once(self, monkeypatch):
+        shapes = self.count_inverses(
+            monkeypatch, lambda: ridge_report(self.theta, self.filt, self.noise, 1000)
+        )
+        assert shapes == [(20, 20)]
+
+    def test_indefinite_curvature_warns_once(self):
+        # DC puts eta_star on the rho face here, where a_b is indefinite
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            asymptotic_report(KernelSpec.dc(), self.theta, self.filt, self.noise, 1000)
+        singular = [w for w in caught if w.category is SingularHessianWarning]
+        assert len(singular) == 1

@@ -141,6 +141,27 @@ class TestMcCommand:
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, path",
+        [
+            ({"records": 0}, "records"),
+            ({"records": True}, "records"),
+            ({"noise": {"sigma2": True}}, "noise.sigma2"),
+            ({"system": {"type": "T1", "count": 0}}, "system.count"),
+            ({"system": {"type": "T3", "count": 1}}, "system.type"),
+            ({"n": 0}, "n"),
+            ({"N": 6}, "N"),
+            ({"filters": [[0.2, 0.5], [1.0, 0.1]]}, "filters[1]"),
+            ({"filters": [[0.5, 0.1, 3]]}, "filters[0]"),
+            ({"filters": [0.5]}, "filters[0]"),
+        ],
+    )
+    def test_invalid_field_is_named(self, tmp_path, capsys, change, path):
+        cfg = write_config(tmp_path, dict(MC_CONFIG, **change))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"{path}:" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
+
 
 class TestTableCommand:
     def test_smoke_and_artifact(self, tmp_path, capsys):
@@ -204,6 +225,31 @@ class TestSweepCommand:
             out.mkdir()
             assert main(args + ["--out", str(out)]) == 0
         assert read_bytes(out_a / "sweep.csv") == read_bytes(out_b / "sweep.csv")
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "--a-max", "1.0"], "--a-max"),
+            (["sweep", "--a-max", "-0.1"], "--a-max"),
+            (["table1", "--a", "0.3", "1.0"], "--a"),
+            (["sweep", "--grid-points", "0"], "--grid-points"),
+            (["sweep", "--n", "0"], "--n"),
+            (["table1", "--n", "0"], "--n"),
+            (["sweep", "--n", "8", "--N", "500", "8"], "--N"),
+            (["table1", "--n", "8", "--N", "8"], "--N"),
+            (["table1", "--records", "0"], "--records"),
+            (["sweep", "--sigma2", "0"], "--sigma2"),
+            (["sweep", "--sigma2", "inf"], "--sigma2"),
+        ],
+    )
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestStrict:
