@@ -13,6 +13,7 @@ from .asymptotics import (
     condition_bounds,
     eta_star,
     expansion_terms,
+    gram_contraction,
     ridge_report,
     second_order_stats,
     sigma_matrix,

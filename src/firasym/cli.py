@@ -103,7 +103,21 @@ def _field(cfg: dict, path: str, kind, required: bool = True, default=None):
         node = int(node)
     if not isinstance(node, kind):
         raise ConfigError(f"field {path}: expected {kind.__name__}")
+    if kind is float and not math.isfinite(node):  # json reads NaN and Infinity
+        raise ConfigError(f"field {path}: expected a finite number")
     return node
+
+
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _finite_list(cfg: dict, path: str) -> np.ndarray:
+    """A non-empty flat list of finite numbers, as a float array."""
+    values = _field(cfg, path, list)
+    if not values or not all(_is_finite_number(x) for x in values):
+        raise ConfigError(f"field {path}: expected a flat list of finite numbers")
+    return np.array(values, dtype=float)
 
 
 def _int_at_least(cfg: dict, path: str, minimum: int, **kwargs) -> int:
@@ -132,7 +146,10 @@ def _kernel_from_config(cfg: dict) -> KernelSpec:
     family = _field(cfg, "kernel.family", str)
     omega = _field(cfg, "kernel.omega", list, required=False)
     try:
-        return KernelSpec(family, np.array(omega, dtype=float) if omega else None)
+        box = np.array(omega, dtype=float) if omega else None
+        if box is not None and not np.all(np.isfinite(box)):
+            raise ValueError("omega bounds must be finite")
+        return KernelSpec(family, box)
     except ValueError as exc:
         raise ConfigError(f"field kernel: {exc}") from None
 
@@ -163,10 +180,7 @@ def _filter_from_config(cfg: dict) -> FilterSpec:
 
 def _theta0_from_config(cfg: dict, n_hint, seed: int) -> np.ndarray:
     if "theta0" in cfg:
-        theta0 = np.asarray(_field(cfg, "theta0", list), dtype=float)
-        if theta0.ndim != 1 or theta0.size < 1:
-            raise ConfigError("field theta0: expected a flat number list")
-        return theta0
+        return _finite_list(cfg, "theta0")
     kind = _field(cfg, "system.type", str)
     n = _field(cfg, "system.n", int, required=False, default=n_hint)
     if n is None:
@@ -196,11 +210,9 @@ def _optimizer_from_config(cfg: dict) -> OptimizerOptions:
 def _filters_from_config(cfg: dict) -> list[tuple[float, float]]:
     pairs = _field(cfg, "filters", list)
     for i, pair in enumerate(pairs):
-        numbers = isinstance(pair, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair
-        )
+        numbers = isinstance(pair, list) and all(_is_finite_number(x) for x in pair)
         if not numbers or len(pair) != 2:
-            raise ConfigError(f"field filters[{i}]: expected [a, cu2]")
+            raise ConfigError(f"field filters[{i}]: expected finite [a, cu2]")
     return [tuple(pair) for pair in pairs]
 
 
@@ -241,7 +253,7 @@ def cmd_mc(args) -> int:
         raise ConfigError("field system.type: expected T1, T2 or explicit")
     theta0 = None
     if system_type == "explicit":
-        theta0 = np.asarray(_field(cfg, "system.theta0", list), dtype=float)
+        theta0 = _finite_list(cfg, "system.theta0")
     n = _int_at_least(cfg, "n", 1)
     try:
         config = ExperimentConfig(

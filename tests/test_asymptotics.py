@@ -2,8 +2,10 @@
 law, coefficient-error expansions, and trace bounds."""
 
 import math
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from firasym import (
     eb_estimate,
     eta_star,
     expansion_terms,
+    gram_contraction,
     generate_input,
     generate_t1,
     impulse_response,
@@ -38,6 +41,7 @@ from firasym import (
 )
 from firasym import asymptotics
 from firasym.asymptotics import prior_fit_cost
+from firasym.montecarlo import _SYSTEM_TAG
 
 REPORT_FIELDS = [
     "eta_star",
@@ -65,6 +69,15 @@ def truncated_filter(a: float, c_u: float, sigma_e2=1.0, kurtosis=3.0) -> Filter
     base = FilterSpec(SecondOrderAR(a=a, c_u=c_u), sigma_e2=sigma_e2)
     h = impulse_response(base, 1e-12)
     return FilterSpec(ImpulseSequence(h=h), sigma_e2=sigma_e2, kurtosis_ratio=kurtosis)
+
+
+def expand_c_gamma(table: np.ndarray) -> np.ndarray:
+    """The n^2 x n^2 fourth-moment matrix of a c_gamma lag table, by the
+    documented index map: entry (p, q) is table[|col_p - col_q|,
+    |row_p - row_q|] under column-major stacking."""
+    n = table.shape[0]
+    col, row = np.divmod(np.arange(n * n), n)
+    return table[np.abs(col[:, None] - col[None, :]), np.abs(row[:, None] - row[None, :])]
 
 
 def random_theta(rng, n=20, norm=10.0) -> np.ndarray:
@@ -102,7 +115,7 @@ class TestSigmaMatrix:
 class TestGramFourthMoments:
     def test_white_noise_pattern(self):
         n = 4
-        mat = c_gamma(FilterSpec(SecondOrderAR(a=0.0, c_u=1.0)), n)
+        mat = expand_c_gamma(c_gamma(FilterSpec(SecondOrderAR(a=0.0, c_u=1.0)), n))
         pos = np.arange(n * n)
         col, row = pos // n, pos % n
         k = np.abs(col[:, None] - col[None, :])
@@ -128,6 +141,85 @@ class TestGramFourthMoments:
         r0 = sigma_matrix(filt3, 1)[0, 0]
         diff = c_gamma(filt5, 2) - c_gamma(filt3, 2)
         assert diff[0, 0] == pytest.approx(2.0 * r0 * r0, rel=1e-12)
+
+
+def to_mp(values) -> np.ndarray:
+    """Exact mpmath copy of a float64 or long-double array: a long double
+    splits exactly into two float64 parts."""
+    flat = []
+    for v in np.ravel(values):
+        hi = float(v)
+        flat.append(mpmath.mpf(hi) + mpmath.mpf(float(v - hi)))
+    return np.array(flat, dtype=object).reshape(np.shape(values))
+
+
+def rel_error(got, ref) -> float:
+    """Largest absolute deviation over the largest reference magnitude."""
+    err = max(abs(g - r) for g, r in zip(to_mp(got).ravel(), ref.ravel()))
+    return float(err / max(abs(r) for r in ref.ravel()))
+
+
+class TestGramContraction:
+    """gram_contraction applies the fourth-moment matrix from its lag table."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["f64", "ld"])
+    @pytest.mark.parametrize("a", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [3, 10, 20])
+    def test_matches_dense_product(self, n, a, dtype):
+        table = c_gamma(FilterSpec(SecondOrderAR(a=a, c_u=1.1), sigma_e2=0.9), n)
+        dense = expand_c_gamma(table).astype(dtype)
+        rng = np.random.default_rng(n)
+        mat = rng.standard_normal((n, n)).astype(dtype)
+        x = rng.standard_normal(n).astype(dtype)
+        for arg, stacked in ((mat, vec(mat)), (x, vec(np.outer(x, x)))):
+            got = gram_contraction(table, arg)
+            ref = unvec(dense @ stacked)
+            assert got.dtype == dtype
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("a", [0.7, 0.95])
+    def test_no_less_accurate_than_dense_product(self, a):
+        # 50-digit evaluations of the same float64 inputs; at strong poles
+        # both paths lose digits to cancellation (v_als_2 ~1e-6 at a = 0.95)
+        n = 10
+        with mpmath.workdps(50):
+            stats = second_order_stats(FilterSpec(SecondOrderAR(a=a, c_u=1.0)), n)
+            table, s_inv = stats.c_gamma, stats.sigma_inv
+            dense = expand_c_gamma(table)
+            c_mp, s_mp = to_mp(dense), to_mp(s_inv)
+
+            ref = s_mp @ unvec(c_mp @ vec(s_mp)) @ s_mp
+            dense_v2 = asymptotics._sym(s_inv @ unvec(dense @ vec(s_inv)) @ s_inv)
+            matrix_free_v2 = ls_error_covariances(stats, 1.0, 1000)[1]
+            assert rel_error(matrix_free_v2, ref) <= rel_error(dense_v2, ref)
+
+            # v_b3_12's long-double rank-1 contraction, x = Sigma^-1 theta
+            # built inside from the same float64 inputs
+            rng = np.random.default_rng(0)
+            for _ in range(4):
+                theta = rng.standard_normal(n)
+                x_mp = s_mp @ to_mp(theta)
+                ref = s_mp @ unvec(c_mp @ vec(np.outer(x_mp, x_mp))) @ s_mp
+                matrix_free = asymptotics._rank1_gram_contraction(
+                    table, s_inv, np.eye(n), theta, 1.0
+                )
+                s_ld = s_inv.astype(np.longdouble)
+                x = s_ld @ theta.astype(np.longdouble)
+                mid = unvec(dense.astype(np.longdouble) @ vec(np.outer(x, x)))
+                dense_r1 = asymptotics._sym((s_ld @ mid @ s_ld).astype(float))
+                assert rel_error(matrix_free, ref) <= rel_error(dense_r1, ref)
+
+    def test_report_memory_stays_below_the_dense_matrix(self):
+        # the dense n^2 x n^2 float64 matrix alone is 800 MB at n = 100
+        theta = random_theta(np.random.default_rng(4), 100)
+        filt = FilterSpec(SecondOrderAR(a=0.7, c_u=1.0))
+        tracemalloc.start()
+        try:
+            ridge_report(theta, filt, NoiseSpec(1.0), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
 
 class TestVecOperator:
@@ -379,6 +471,23 @@ class TestRidgeEquivalence:
                 x, y = getattr(gen, field), getattr(closed, field)
                 scale = max(np.max(np.abs(y)), 1e-300)
                 assert np.max(np.abs(x - y)) <= 1e-10 * scale, field
+
+    @pytest.mark.parametrize("n_samples", [1000, 100000])
+    def test_strong_pole_traces_agree(self, n_samples):
+        # the a = 0.99 point of `firasym sweep --seed 1`: the rank-1 Gram
+        # contraction of v_b3_12 cancels most of its digits there, and the
+        # two report paths must still agree on what sweep writes
+        theta = generate_t1(20, derive_stream(1, _SYSTEM_TAG, 0)).theta0
+        unit = FilterSpec(SecondOrderAR(a=0.99, c_u=1.0))
+        peak = np.linalg.eigvalsh(sigma_matrix(unit, 20))[-1]
+        filt = FilterSpec(SecondOrderAR(a=0.99, c_u=math.sqrt(1.0 / peak)))
+        noise = NoiseSpec(1.0)
+        gen = asymptotic_report(KernelSpec.ridge(), theta, filt, noise, n_samples)
+        closed = ridge_report(theta, filt, noise, n_samples)
+        x, y = gen.to_json_dict(), closed.to_json_dict()
+        for key in ("trace_v_als", "trace_v_b_ar"):
+            assert x[key] == pytest.approx(y[key], rel=1e-12), key
+        assert x["amse"] == pytest.approx(y["amse"], rel=1e-12)
 
     def test_report_serialization_roundtrip(self):
         theta = random_theta(np.random.default_rng(6), 8)

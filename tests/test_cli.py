@@ -89,6 +89,25 @@ class TestAsymCommand:
         cfg = write_config(tmp_path, ASYM_CONFIG)
         assert main(["asym", "--config", cfg, "--override", "oops"]) == 2
 
+    @pytest.mark.parametrize(
+        "change, path",
+        [
+            ({"noise": {"sigma2": math.inf}}, "noise.sigma2"),
+            ({"noise": {"sigma2": 1e400}}, "noise.sigma2"),
+            ({"filter": {"a": 0.0, "cu2": math.nan}}, "filter.cu2"),
+            ({"theta0": [2.0, math.nan, 0.5, 1.5]}, "theta0"),
+            ({"theta0": [2.0, -math.inf]}, "theta0"),
+            ({"theta0": ["2.0"]}, "theta0"),
+            ({"kernel": {"family": "ridge", "omega": [[1e-9, math.inf]]}}, "kernel"),
+        ],
+    )
+    def test_non_finite_number_is_named(self, tmp_path, capsys, change, path):
+        # json reads NaN and Infinity; a report built from them is not JSON
+        cfg = write_config(tmp_path, dict(ASYM_CONFIG, **change))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"field {path}:" in capsys.readouterr().err
+        assert not (tmp_path / "asym_report.json").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a zero truth pushes the analytic ridge optimum out of the box
         broken = dict(ASYM_CONFIG, theta0=[0.0, 0.0, 0.0, 0.0])
@@ -154,6 +173,10 @@ class TestMcCommand:
             ({"filters": [[0.2, 0.5], [1.0, 0.1]]}, "filters[1]"),
             ({"filters": [[0.5, 0.1, 3]]}, "filters[0]"),
             ({"filters": [0.5]}, "filters[0]"),
+            ({"filters": [[0.2, math.nan]]}, "filters[0]"),
+            ({"noise": {"sigma2": -math.inf}}, "noise.sigma2"),
+            ({"system": {"type": "explicit", "theta0": [1.0] * 5 + [math.inf]}},
+             "system.theta0"),
         ],
     )
     def test_invalid_field_is_named(self, tmp_path, capsys, change, path):

@@ -6,7 +6,19 @@ The tracing module is only read, never modified."""
 import runpy
 from pathlib import Path
 
-from firasym import asymptotics, cli, estimators, montecarlo
+import numpy as np
+
+from firasym import (
+    ExperimentConfig,
+    FilterSpec,
+    KernelSpec,
+    NoiseSpec,
+    SecondOrderAR,
+    asymptotics,
+    cli,
+    estimators,
+    montecarlo,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = {
@@ -28,3 +40,41 @@ def test_every_traced_name_resolves():
     ]
     assert missing == []
     tracing["Tracer"](MODULES)  # refuses to start on a missing name
+
+
+def test_each_report_reaches_c_gamma_once(monkeypatch):
+    theta = 5.0 * np.exp(-0.3 * np.arange(1, 9))
+    filt = FilterSpec(SecondOrderAR(a=0.5, c_u=1.0))
+    noise = NoiseSpec(1.0)
+    config = ExperimentConfig(
+        kernel=KernelSpec.ridge(),
+        system_type="T1",
+        n=8,
+        n_samples=100,
+        filters=[(0.5, 1.0)],
+        noise=noise,
+        records=1,
+        systems=1,
+        master_seed=0,
+    )
+    runs = {
+        "asymptotic_report": lambda: asymptotics.asymptotic_report(
+            KernelSpec.ridge(), theta, filt, noise, 1000
+        ),
+        "ridge_report": lambda: asymptotics.ridge_report(theta, filt, noise, 1000),
+        "experiment_theory": lambda: montecarlo.experiment_theory(config),
+    }
+    # the benchmark's asymptotics.c_gamma spans exist only for calls
+    # through this module global
+    calls = []
+    original = asymptotics.c_gamma
+
+    def counted(filt, n):
+        calls.append(n)
+        return original(filt, n)
+
+    monkeypatch.setattr(asymptotics, "c_gamma", counted)
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls == [8], name
