@@ -4,6 +4,15 @@ verification harness."""
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# One BLAS/OpenMP thread unless the caller set a count: firasym's matrices
+# are small (n <= ~100), where a threaded BLAS is slower, and `mc --threads K`
+# then runs K single-threaded workers.  This must run before the submodules
+# import numpy; a numpy imported earlier keeps the thread count it started with.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_name, "1")
+
 from .asymptotics import (
     AsymptoticReport,
     ExpansionTerms,

@@ -2,14 +2,20 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import firasym
 import firasym.cli as cli
 import firasym.montecarlo as montecarlo
-from firasym import DegenerateBoundWarning
+from firasym import DegenerateBoundWarning, NotPositiveDefiniteError
 from firasym.cli import main
 
 
@@ -43,6 +49,16 @@ MC_CONFIG = {
     "seed": 7,
     "optimizer": {"starts": 4},
 }
+
+# The acceptance suite's determinism configs (criterion 9).
+CRITERION_9_ASYM = {
+    "kernel": {"family": "ridge"},
+    "system": {"type": "T1", "n": 12},
+    "filter": {"a": 0.5, "cu2": 0.5},
+    "noise": {"sigma2": 1.0},
+    "N": 1000,
+}
+CRITERION_9_MC = dict(MC_CONFIG, filters=[[0.3, 0.5]])
 
 
 class TestAsymCommand:
@@ -277,19 +293,8 @@ class TestFlagValidation:
 
 class TestStrict:
     def test_healthy_runs_pass(self, tmp_path):
-        # the acceptance suite's determinism configs
-        asym_cfg = write_config(
-            tmp_path,
-            {
-                "kernel": {"family": "ridge"},
-                "system": {"type": "T1", "n": 12},
-                "filter": {"a": 0.5, "cu2": 0.5},
-                "noise": {"sigma2": 1.0},
-                "N": 1000,
-            },
-            "asym.json",
-        )
-        mc_cfg = write_config(tmp_path, dict(MC_CONFIG, filters=[[0.3, 0.5]]), "mc.json")
+        asym_cfg = write_config(tmp_path, CRITERION_9_ASYM, "asym.json")
+        mc_cfg = write_config(tmp_path, CRITERION_9_MC, "mc.json")
         runs = [
             ["asym", "--config", asym_cfg, "--seed", "3"],
             ["mc", "--config", mc_cfg, "--seed", "3", "--threads", "1"],
@@ -343,3 +348,141 @@ class TestStrict:
         with pytest.warns(RuntimeWarning) if threads == "1" else warnings.catch_warnings():
             assert main(args) == 0
         assert main(args + ["--strict"]) == 3
+
+
+# Leaves of arbitrary JSON trees.  st.floats() draws NaN, infinities and
+# subnormals; the sampled values make edge cases and repeats frequent.
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+     math.inf, -math.inf, math.nan, 1e16, 1e-05]
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, sys.float_info.max, -sys.float_info.max, 1e16, 1e-05]
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**300)
+    | FLOATS
+    | st.text()
+)
+# rectangular tables of finite floats take the writer's bulk path; ragged
+# rows, non-finite entries and rows that mix 1 with 1.0 must not
+TABLES = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(FINITE, min_size=width, max_size=width), min_size=1, max_size=4
+    )
+)
+ROWS = st.lists(st.lists(FLOATS | st.sampled_from([1, 1.0, True, None]), max_size=4), max_size=4)
+TREES = st.recursive(
+    SCALARS | TABLES | ROWS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+def canonical_json(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+class TestJsonWriter:
+    """``cli._dump_json`` writes the bytes of json.dump(sort_keys=True, indent=2)."""
+
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(TREES)
+    # a symmetric matrix with 0.0 and -0.0 at mirrored positions, a 1 x n row
+    @example({"sym": [[1.0, 0.0, 2.5], [-0.0, 3.0, 1e-05], [2.5, 1e-05, 1e16]]})
+    @example({"row": [[1.0, -2.5, 3e-310, 4.0]]})
+    @example({"é\n\"\\ ": {"": [], "x": {}, "\x00": [[], [[]]]}})
+    @example([[1, 1.0], [1.0, 1.0]])
+    @example([[1.0, 2.0], [3.0]])
+    @example([[math.nan, 1.0], [math.inf, -math.inf]])
+    def test_matches_stdlib(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        cli._dump_json(str(path), payload)
+        assert read_bytes(path) == canonical_json(payload)
+
+    def test_collection_without_records(self, tmp_path, monkeypatch):
+        # every record of the second collection fails: its statistics are null
+        original = montecarlo.generate_input
+
+        def failing(filt, *args):
+            if filt.kind.a == 0.5:
+                raise NotPositiveDefiniteError("injected failure")
+            return original(filt, *args)
+
+        monkeypatch.setattr(montecarlo, "generate_input", failing)
+        cfg = write_config(tmp_path, dict(MC_CONFIG, filters=[[0.2, 0.5], [0.5, 0.5]]))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 3
+        with open(tmp_path / "aggregates.json") as handle:
+            doc = json.load(handle)
+        assert doc["collections"][1]["smse_g"] is None
+        assert doc["collections"][1]["eta_mean"] is None
+        assert read_bytes(tmp_path / "aggregates.json") == canonical_json(doc)
+
+    def test_artifacts_are_canonical(self, tmp_path):
+        # the criterion-9 runs: every JSON artifact is in json's canonical
+        # indent-2, sorted-key form, whatever numbers it holds
+        asym_cfg = write_config(tmp_path, CRITERION_9_ASYM, "asym.json")
+        mc_cfg = write_config(tmp_path, CRITERION_9_MC, "mc.json")
+        runs = {
+            "asym_report.json": ["asym", "--config", asym_cfg, "--seed", "3"],
+            "aggregates.json": ["mc", "--config", mc_cfg, "--seed", "3", "--threads", "1"],
+        }
+        for name, args in runs.items():
+            assert main(args + ["--out", str(tmp_path)]) == 0
+            with open(tmp_path / name) as handle:
+                doc = json.load(handle)
+            assert read_bytes(tmp_path / name) == canonical_json(doc), name
+
+
+class TestParserReuse:
+    """``build_parser`` builds one parser per process; no call leaks into the next."""
+
+    def test_override_does_not_stick(self, tmp_path):
+        cfg = write_config(tmp_path, CRITERION_9_ASYM)
+
+        def report(name, *extra):
+            out = tmp_path / name
+            assert main(["asym", "--config", cfg, "--out", str(out), *extra]) == 0
+            return read_bytes(out / "asym_report.json")
+
+        cli.build_parser.cache_clear()
+        fresh = report("fresh")
+        cli.build_parser.cache_clear()
+        assert report("override", "--override", "noise.sigma2=2.0") != fresh
+        assert report("again") == fresh
+
+    def test_strict_does_not_stick(self, tmp_path, monkeypatch):
+        original = cli.asymptotic_report
+
+        def warn_then_report(*args, **kwargs):
+            warnings.warn("vacuous lower bound", DegenerateBoundWarning)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "asymptotic_report", warn_then_report)
+        cfg = write_config(tmp_path, ASYM_CONFIG)
+        args = ["asym", "--config", cfg, "--out", str(tmp_path)]
+        assert main(args + ["--strict"]) == 3
+        with pytest.warns(DegenerateBoundWarning):
+            assert main(args) == 0
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_defaults_blas_threads_to_one(preset):
+    # importing firasym sets each unset thread variable to 1 and keeps a
+    # value the caller set
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(firasym.__file__))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = f"import os, firasym; print(*(os.environ[k] for k in {BLAS_THREAD_VARIABLES!r}))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == [preset or "1", "1", "1"]
