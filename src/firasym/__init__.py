@@ -19,7 +19,6 @@ from .asymptotics import (
     SecondOrderStats,
     asymptotic_report,
     c_gamma,
-    condition_bounds,
     eta_star,
     expansion_terms,
     gram_contraction,
@@ -34,7 +33,6 @@ from .asymptotics import (
 )
 from .errors import (
     ConfigError,
-    DegenerateBoundWarning,
     DegenerateTruthError,
     FirasymError,
     NotPositiveDefiniteError,

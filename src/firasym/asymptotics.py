@@ -15,16 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .errors import (
-    DegenerateBoundWarning,
-    OutOfBoxError,
-    SingularHessianWarning,
-)
+from .errors import OutOfBoxError, SingularHessianWarning
 from .estimators import (
     EbFit,
     KernelSpec,
@@ -59,14 +55,13 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SecondOrderStats:
-    """Input covariance Sigma with its inverse and eigensystem, and the lag
+    """Input covariance Sigma with its inverse and eigenvalues, and the lag
     table of the fourth-moment matrix of the scaled Gram deviation."""
 
     sigma: np.ndarray
     sigma_inv: np.ndarray
     c_gamma: np.ndarray
     eigenvalues: np.ndarray  # descending
-    eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
     cond: float
 
 
@@ -124,30 +119,14 @@ class AsymptoticReport:
 
     def to_json_dict(self) -> dict:
         """JSON-ready dictionary; matrices are row-major nested lists."""
-        return {
-            "eta_star": self.eta_star.tolist(),
-            "a_b": self.a_b.tolist(),
-            "b_b": self.b_b.tolist(),
-            "v_b_h": self.v_b_h.tolist(),
-            "v_als_1": self.v_als_1.tolist(),
-            "v_als_2": self.v_als_2.tolist(),
-            "c_b": self.c_b.tolist(),
-            "e_b_ar": self.e_b_ar.tolist(),
-            "v_b3_11": self.v_b3_11.tolist(),
-            "v_b3_12": self.v_b3_12.tolist(),
-            "v_b3_13": self.v_b3_13.tolist(),
-            "v_b3_2": self.v_b3_2.tolist(),
-            "v_b_ar": self.v_b_ar.tolist(),
-            "amse": list(self.amse),
-            "n_samples": self.n_samples,
-            "cond_sigma": self.cond_sigma,
-            "trace_v_b_h": float(np.trace(self.v_b_h)),
-            "trace_v_als": float(
-                np.trace(self.v_als_1) + np.trace(self.v_als_2) / self.n_samples
-            ),
-            "trace_v_b_ar": float(np.trace(self.v_b_ar)),
-            "e_b_ar_sq_norm": float(self.e_b_ar @ self.e_b_ar),
-        }
+        doc = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
+        doc["trace_v_b_h"] = float(np.trace(self.v_b_h))
+        doc["trace_v_als"] = float(
+            np.trace(self.v_als_1) + np.trace(self.v_als_2) / self.n_samples
+        )
+        doc["trace_v_b_ar"] = float(np.trace(self.v_b_ar))
+        doc["e_b_ar_sq_norm"] = float(self.e_b_ar @ self.e_b_ar)
+        return doc
 
 
 @dataclass
@@ -306,16 +285,14 @@ def gram_contraction(table: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def second_order_stats(filt: FilterSpec, n: int) -> SecondOrderStats:
     sigma = sigma_matrix(filt, n)
-    values, vectors = np.linalg.eigh(sigma)
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vectors = vectors[:, order]
+    # eigh, not eigvalsh: their eigenvalues differ in the last bits, which
+    # cond_sigma carries into every artifact
+    values = np.linalg.eigh(sigma)[0][::-1]  # eigh sorts them ascending
     return SecondOrderStats(
         sigma=sigma,
         sigma_inv=_pd_inverse(sigma),
         c_gamma=c_gamma(filt, n),
         eigenvalues=values,
-        eigenvectors=vectors,
         cond=float(values[0] / values[-1]),
     )
 
@@ -499,16 +476,7 @@ def asymptotic_report(
         a_b=t1.a_b,
         b_b=t1.b_b,
         v_b_h=t1.v_b_h,
-        v_als_1=t3.v_als_1,
-        v_als_2=t3.v_als_2,
-        c_b=t3.c_b,
-        e_b_ar=t3.e_b_ar,
-        v_b3_11=t3.v_b3_11,
-        v_b3_12=t3.v_b3_12,
-        v_b3_13=t3.v_b3_13,
-        v_b3_2=t3.v_b3_2,
-        v_b_ar=t3.v_b_ar,
-        amse=t3.amse,
+        **vars(t3),
         n_samples=n_samples,
         cond_sigma=stats.cond,
     )
@@ -642,39 +610,3 @@ def expansion_terms(
         residual_ls=float(np.linalg.norm(lhs_ls - rhs_ls)),
         residual_rls=float(np.linalg.norm(lhs_rls - rhs_rls)),
     )
-
-
-def condition_bounds(
-    a_mat: np.ndarray, b_mat: np.ndarray, k: int
-) -> tuple[float, float, float]:
-    """Bracket for Tr(A' B^-k A) driven by the conditioning of B.
-
-    Returns (lower, upper, trace) with
-
-        lower = (u' A A' u) * cond(B)^k / lambda_max(B)^k
-        upper = Tr(A A')    * cond(B)^k / lambda_max(B)^k
-
-    where u is the eigenvector of the smallest eigenvalue of B.  When
-    u' A = 0 the lower bound is vacuous and reported as 0 with a warning.
-    """
-    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
-    b_mat = np.asarray(b_mat, dtype=float)
-    values, vectors = np.linalg.eigh(_sym(b_mat))
-    lam_min = float(values[0])
-    lam_max = float(values[-1])
-    if lam_min <= 0.0:
-        raise np.linalg.LinAlgError("B must be positive definite")
-    u = vectors[:, 0]
-    ratio = (lam_max / lam_min) ** k / lam_max**k
-    b_l = float((u @ a_mat) @ (a_mat.T @ u))
-    b_u = float(np.sum(a_mat * a_mat))
-    scale = np.sqrt(b_u) * np.linalg.norm(u)
-    if math.sqrt(max(b_l, 0.0)) <= 1e-14 * max(scale, 1.0):
-        warnings.warn(
-            "smallest-eigenvalue direction is orthogonal to A; lower bound is 0",
-            DegenerateBoundWarning,
-        )
-        b_l = 0.0
-    b_pow = np.linalg.matrix_power(np.linalg.inv(b_mat), k)
-    trace = float(np.trace(a_mat.T @ b_pow @ a_mat))
-    return b_l * ratio, b_u * ratio, trace

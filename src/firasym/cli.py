@@ -22,14 +22,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__
+from . import __version__, asymptotics
 from .asymptotics import asymptotic_report, ridge_report, sigma_matrix
-from .errors import (
-    ConfigError,
-    DegenerateBoundWarning,
-    FirasymError,
-    SingularHessianWarning,
-)
+from .errors import ConfigError, FirasymError, SingularHessianWarning
 from .estimators import KernelSpec, OptimizerOptions
 from .montecarlo import (
     _SYSTEM_TAG,
@@ -391,32 +386,39 @@ def cmd_sweep(args) -> int:
     }
     header = _header(flag_cfg, args.seed)
     out_path = os.path.join(args.out, "sweep.csv")
-    summaries = []
+    # the rows run over a within N; each pole's statistics serve every N
+    summaries = [
+        (n_samples, [], {"cond": [], "bias": [], "v_als": [], "v_ar": []})
+        for n_samples in args.N
+    ]
+    for a in grid:
+        unit = FilterSpec(kind=SecondOrderAR(a=a, c_u=1.0))
+        lam_max = float(np.linalg.eigvalsh(sigma_matrix(unit, args.n))[-1])
+        cu2 = 1.0 / lam_max  # scales Sigma to have largest eigenvalue 1
+        filt = FilterSpec(kind=SecondOrderAR(a=a, c_u=math.sqrt(cu2)))
+        # through the module attribute, which perfbench's tracer wraps to
+        # count the statistics built per pole
+        stats = asymptotics.second_order_stats(filt, args.n)
+        for n_samples, rows, cols in summaries:
+            doc = ridge_report(theta0, filt, noise, n_samples, stats).to_json_dict()
+            cols["cond"].append(doc["cond_sigma"])
+            cols["bias"].append(doc["e_b_ar_sq_norm"])
+            cols["v_als"].append(doc["trace_v_als"])
+            cols["v_ar"].append(doc["trace_v_b_ar"])
+            rows.append(
+                f"{n_samples},{a!r},{cu2!r},{doc['cond_sigma']!r},"
+                f"{doc['e_b_ar_sq_norm']!r},{doc['trace_v_als']!r},"
+                f"{doc['trace_v_b_ar']!r}\n"
+            )
     with open(out_path, "w") as handle:
         for key, value in header.items():
             handle.write(f"# {key}={value}\n")
         handle.write(
             "n_samples,a,cu2,cond_sigma,e_b_ar_sq_norm,trace_v_als,trace_v_b_ar\n"
         )
-        for n_samples in args.N:
-            cols = {"cond": [], "bias": [], "v_als": [], "v_ar": []}
-            for a in grid:
-                unit = FilterSpec(kind=SecondOrderAR(a=a, c_u=1.0))
-                lam_max = float(np.linalg.eigvalsh(sigma_matrix(unit, args.n))[-1])
-                cu2 = 1.0 / lam_max  # scales Sigma to have largest eigenvalue 1
-                filt = FilterSpec(kind=SecondOrderAR(a=a, c_u=math.sqrt(cu2)))
-                doc = ridge_report(theta0, filt, noise, n_samples).to_json_dict()
-                cols["cond"].append(doc["cond_sigma"])
-                cols["bias"].append(doc["e_b_ar_sq_norm"])
-                cols["v_als"].append(doc["trace_v_als"])
-                cols["v_ar"].append(doc["trace_v_b_ar"])
-                handle.write(
-                    f"{n_samples},{a!r},{cu2!r},{doc['cond_sigma']!r},"
-                    f"{doc['e_b_ar_sq_norm']!r},{doc['trace_v_als']!r},"
-                    f"{doc['trace_v_b_ar']!r}\n"
-                )
-            summaries.append((n_samples, cols))
-    for n_samples, cols in summaries:
+        for _, rows, _ in summaries:
+            handle.writelines(rows)
+    for n_samples, _, cols in summaries:
         print(
             f"N={n_samples}: "
             f"cond nondecreasing={cols['cond'] == sorted(cols['cond'])}, "
@@ -533,7 +535,6 @@ def main(argv: list[str] | None = None) -> int:
         ):
             if args.strict:
                 warnings.simplefilter("error", SingularHessianWarning)
-                warnings.simplefilter("error", DegenerateBoundWarning)
             return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -541,7 +542,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         FirasymError,
         SingularHessianWarning,
-        DegenerateBoundWarning,
         FloatingPointError,
         np.linalg.LinAlgError,
     ) as exc:

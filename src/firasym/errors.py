@@ -28,8 +28,3 @@ class ConfigError(FirasymError):
 class SingularHessianWarning(UserWarning):
     """Curvature matrix was not invertible; an eigenvalue-thresholded
     pseudo-inverse was used instead."""
-
-
-class DegenerateBoundWarning(UserWarning):
-    """Lower trace bound is vacuous because the deciding eigenvector is
-    orthogonal to the tested matrix; it is reported as 0."""

@@ -265,16 +265,13 @@ def kernel_matrix(
 
 
 def ls_estimate(data: Dataset) -> np.ndarray:
-    """Least-squares coefficients via an orthogonal factorization of Phi."""
-    theta, _, rank, _ = np.linalg.lstsq(data.phi, data.y, rcond=None)
-    if rank < data.order:
-        raise RankDeficientError("regression matrix is rank deficient")
-    return theta
+    """Least-squares coefficients, solved once per record (``data.theta_ls``)."""
+    return data.theta_ls
 
 
 def noise_variance_estimate(data: Dataset) -> float:
     """Unbiased residual-based noise variance ||Y - Phi theta_ls||^2 / (N - n)."""
-    resid = data.y - data.phi @ ls_estimate(data)
+    resid = data.y - data.phi @ data.theta_ls
     return float(resid @ resid) / (data.n_samples - data.order)
 
 
@@ -575,8 +572,7 @@ def eb_estimate(
     """Fit the hyper-parameters by marginal likelihood and return the
     regularized estimate computed at the winner."""
     theta_ls = ls_estimate(data)
-    resid = data.y - data.phi @ theta_ls
-    sigma2_hat = float(resid @ resid) / (data.n_samples - data.order)
+    sigma2_hat = noise_variance_estimate(data)
     noise = _noise_term(data.gram, sigma2_hat)
     eta_hat, value, stats = minimize_box(theta_ls, noise, spec, opts)
     p_mat = kernel_matrix(spec, eta_hat, data.order, order=0)[0]

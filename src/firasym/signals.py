@@ -122,8 +122,9 @@ class Dataset:
 
     ``u`` holds the input on t = 1-n ... N-1, so u(t) = u[t + n - 1].
     Row t of ``phi`` is [u(t-1), ..., u(t-n)].  ``v`` is the realized noise
-    (kept for expansion-identity checks) or None when unknown.  ``gram`` is
-    formed on first use and cached, so ``phi`` must not change after that.
+    (kept for expansion-identity checks) or None when unknown.  ``gram`` and
+    ``theta_ls`` are formed on first use and cached, so ``phi`` and ``y``
+    must not change after that.
     """
 
     phi: np.ndarray
@@ -145,6 +146,14 @@ class Dataset:
     def gram(self) -> np.ndarray:
         """Regression Gram matrix Phi' Phi."""
         return self.phi.T @ self.phi
+
+    @functools.cached_property
+    def theta_ls(self) -> np.ndarray:
+        """Least-squares coefficients via an orthogonal factorization of Phi."""
+        theta, _, rank, _ = np.linalg.lstsq(self.phi, self.y, rcond=None)
+        if rank < self.order:
+            raise RankDeficientError("regression matrix is rank deficient")
+        return theta
 
 
 def impulse_response(filt: FilterSpec, tail_tol: float) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Limit quantities: input covariance, Gram fourth moments, hyper-parameter
-law, coefficient-error expansions, and trace bounds."""
+law and coefficient-error expansions."""
 
 import math
 import tracemalloc
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from firasym import (
-    DegenerateBoundWarning,
     FilterSpec,
     ImpulseSequence,
     KernelSpec,
@@ -20,7 +19,6 @@ from firasym import (
     asymptotic_report,
     build_dataset,
     c_gamma,
-    condition_bounds,
     derive_stream,
     eb_estimate,
     eta_star,
@@ -554,32 +552,6 @@ class TestExpansionIdentities:
 
 
 class TestConditionBounds:
-    def test_identity_matrix_bracket(self):
-        rng = np.random.default_rng(7)
-        a_mat = rng.standard_normal((5, 3))
-        lower, upper, trace = condition_bounds(a_mat, np.eye(5), 2)
-        assert upper == pytest.approx(np.sum(a_mat * a_mat), rel=1e-12)
-        assert lower <= trace <= upper
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_random_pd_bracket_contains_trace(self, k):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            a_mat = rng.standard_normal((6, 4))
-            q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-            b_mat = q @ np.diag(rng.uniform(0.5, 50.0, 6)) @ q.T
-            lower, upper, trace = condition_bounds(a_mat, b_mat, k)
-            assert lower <= trace * (1 + 1e-10)
-            assert trace <= upper * (1 + 1e-10)
-
-    def test_orthogonal_direction_warns_and_zeroes_lower(self):
-        b_mat = np.diag([4.0, 1.0])
-        a_mat = np.array([[1.0], [0.0]])  # orthogonal to the small eigenvector
-        with pytest.warns(DegenerateBoundWarning):
-            lower, upper, trace = condition_bounds(a_mat, b_mat, 1)
-        assert lower == 0.0
-        assert trace <= upper
-
     def test_hyper_parameter_variance_grows_with_conditioning(self):
         # shrink the smallest eigenvalue with fixed eigenvectors: the trace
         # of the limiting hyper-parameter covariance must strictly increase

@@ -13,9 +13,19 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import firasym
+import firasym.asymptotics as asymptotics
 import firasym.cli as cli
 import firasym.montecarlo as montecarlo
-from firasym import DegenerateBoundWarning, NotPositiveDefiniteError
+from firasym import (
+    FilterSpec,
+    NoiseSpec,
+    NotPositiveDefiniteError,
+    SecondOrderAR,
+    SingularHessianWarning,
+    derive_stream,
+    generate_t1,
+    ridge_report,
+)
 from firasym.cli import main
 
 
@@ -265,6 +275,33 @@ class TestSweepCommand:
             assert main(args + ["--out", str(out)]) == 0
         assert read_bytes(out_a / "sweep.csv") == read_bytes(out_b / "sweep.csv")
 
+    def test_statistics_built_once_per_pole(self, tmp_path, monkeypatch):
+        calls = []
+        original = asymptotics.second_order_stats
+
+        def counted(filt, n):
+            calls.append(n)
+            return original(filt, n)
+
+        monkeypatch.setattr(asymptotics, "second_order_stats", counted)
+        args = ["sweep", "--grid-points", "3", "--n", "6", "--N", "100", "200"]
+        assert main(args + ["--seed", "2", "--out", str(tmp_path)]) == 0
+        assert calls == [6, 6, 6]
+        # every row matches a report that builds its own statistics
+        theta0 = generate_t1(6, derive_stream(2, montecarlo._SYSTEM_TAG, 0)).theta0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()[4:]
+        assert [line.split(",")[0] for line in lines] == ["100"] * 3 + ["200"] * 3
+        for line in lines:
+            n_samples, a, cu2 = (float(x) for x in line.split(",")[:3])
+            filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(cu2)))
+            n_samples = int(n_samples)
+            doc = ridge_report(theta0, filt, NoiseSpec(1.0), n_samples).to_json_dict()
+            assert line == (
+                f"{n_samples},{a!r},{cu2!r},{doc['cond_sigma']!r},"
+                f"{doc['e_b_ar_sq_norm']!r},{doc['trace_v_als']!r},"
+                f"{doc['trace_v_b_ar']!r}"
+            )
+
 
 class TestFlagValidation:
     @pytest.mark.parametrize(
@@ -324,13 +361,13 @@ class TestStrict:
         original = cli.asymptotic_report
 
         def warn_then_report(*args, **kwargs):
-            warnings.warn("vacuous lower bound", DegenerateBoundWarning)
+            warnings.warn("singular curvature", SingularHessianWarning)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cli, "asymptotic_report", warn_then_report)
         cfg = write_config(tmp_path, ASYM_CONFIG)
         args = ["asym", "--config", cfg, "--out", str(tmp_path)]
-        with pytest.warns(DegenerateBoundWarning):
+        with pytest.warns(SingularHessianWarning):
             assert main(args) == 0
         assert main(args + ["--strict"]) == 3
 
@@ -459,14 +496,14 @@ class TestParserReuse:
         original = cli.asymptotic_report
 
         def warn_then_report(*args, **kwargs):
-            warnings.warn("vacuous lower bound", DegenerateBoundWarning)
+            warnings.warn("singular curvature", SingularHessianWarning)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cli, "asymptotic_report", warn_then_report)
         cfg = write_config(tmp_path, ASYM_CONFIG)
         args = ["asym", "--config", cfg, "--out", str(tmp_path)]
         assert main(args + ["--strict"]) == 3
-        with pytest.warns(DegenerateBoundWarning):
+        with pytest.warns(SingularHessianWarning):
             assert main(args) == 0
 
 

@@ -78,3 +78,19 @@ def test_each_report_reaches_c_gamma_once(monkeypatch):
         calls.clear()
         run()
         assert calls == [8], name
+
+
+def test_sweep_spans_feed_the_layer_metrics(tmp_path):
+    # the benchmark reads per-pole call counts from these spans; a call that
+    # bypasses a traced module global drops its span and raises TraceError
+    tracing = runpy.run_path(str(TRACING))
+    tracer = tracing["Tracer"](MODULES)
+    argv = ["sweep", "--grid-points", "3", "--n", "6", "--N", "100", "200"]
+    attrs = {"case": "sweep", "items": 6, "poles": 3}
+    argv += ["--out", str(tmp_path)]
+    with tracer:
+        rc = tracer.call("cli.main", cli.main, argv, attrs=attrs)
+    assert rc == 0
+    metrics = tracing["layer_metrics"]("sweep_grid", tracer.spans, {})
+    assert metrics["asymptotics.second_order_stats_calls"] == 1.0
+    assert metrics["asymptotics.sigma_matrix_calls"] == 2.0
