@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -117,15 +118,21 @@ class AsymptoticReport:
     n_samples: int
     cond_sigma: float
 
+    def summary(self) -> dict[str, float]:
+        """The scalar summaries of the report, without its matrices."""
+        return {
+            "trace_v_b_h": float(np.trace(self.v_b_h)),
+            "trace_v_als": float(
+                np.trace(self.v_als_1) + np.trace(self.v_als_2) / self.n_samples
+            ),
+            "trace_v_b_ar": float(np.trace(self.v_b_ar)),
+            "e_b_ar_sq_norm": float(self.e_b_ar @ self.e_b_ar),
+        }
+
     def to_json_dict(self) -> dict:
         """JSON-ready dictionary; matrices are row-major nested lists."""
         doc = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
-        doc["trace_v_b_h"] = float(np.trace(self.v_b_h))
-        doc["trace_v_als"] = float(
-            np.trace(self.v_als_1) + np.trace(self.v_als_2) / self.n_samples
-        )
-        doc["trace_v_b_ar"] = float(np.trace(self.v_b_ar))
-        doc["e_b_ar_sq_norm"] = float(self.e_b_ar @ self.e_b_ar)
+        doc.update(self.summary())
         return doc
 
 
@@ -486,18 +493,26 @@ def ridge_report(
     theta0: np.ndarray,
     filt: FilterSpec,
     noise: NoiseSpec,
-    n_samples: int,
+    n_samples: int | Sequence[int],
     stats: SecondOrderStats | None = None,
-) -> AsymptoticReport:
+) -> AsymptoticReport | list[AsymptoticReport]:
     """Fully closed-form report for the ridge kernel (no optimizer).
 
     Requires a double-pole (or white-noise) input filter so that Sigma and
     the Gram fourth moments are available in closed form.  ``stats`` may
     carry precomputed input statistics when sweeping many truths over the
-    same filter.
+    same filter.  ``n_samples`` is one record length, which gives one
+    report, or a sequence of them, which gives a list of reports in the
+    same order; the blocks that do not depend on N (among them the
+    long-double contraction of ``v_b3_12``) are then computed once and
+    shared by every report.
     """
     if not isinstance(filt.kind, SecondOrderAR):
         raise ValueError("closed-form report needs a SecondOrderAR filter")
+    single = np.ndim(n_samples) == 0
+    lengths = [n_samples] if single else list(n_samples)
+    if not lengths:
+        raise ValueError("n_samples is an empty sequence")
     theta0 = np.asarray(theta0, dtype=float)
     n = theta0.size
     s = float(theta0 @ theta0)
@@ -514,10 +529,9 @@ def ridge_report(
     b_b = -(n**2 / s**2) * theta0[None, :]
     v_b_h = np.array([[4.0 * sigma2 / n**2 * float(theta0 @ st)]])
 
-    v1, v2, v_als = ls_error_covariances(stats, sigma2, n_samples)
+    v1, v2, _ = ls_error_covariances(stats, sigma2, lengths[0])
 
     c_b = (n / s) * np.eye(n) - (2.0 * n / s**2) * np.outer(theta0, theta0)
-    e_b_ar = -(n * sigma2 / s) / math.sqrt(n_samples) * st
 
     outer_st = np.outer(st, st)
     s_inv2 = s_inv @ s_inv
@@ -533,14 +547,8 @@ def ridge_report(
     v_b3_2 = (2.0 * n * sigma2**2 / s**2) * outer_st - (n * sigma2**2 / s) * s_inv2
 
     v_b3_1 = v_b3_11 + v_b3_12 + v_b3_13
-    v_b_ar = v_als + v_b3_1 / n_samples**2 + (v_b3_2 + v_b3_2.T) / n_samples
-    bias_sq = float(e_b_ar @ e_b_ar)
-    amse = (
-        float(np.trace(v1)) / n_samples,
-        (float(np.trace(v_als)) + bias_sq) / n_samples,
-        (float(np.trace(v_b_ar)) + bias_sq) / n_samples,
-    )
-    return AsymptoticReport(
+    v_b3_2_pair = v_b3_2 + v_b3_2.T
+    shared = dict(
         eta_star=star,
         a_b=a_b,
         b_b=b_b,
@@ -548,16 +556,30 @@ def ridge_report(
         v_als_1=v1,
         v_als_2=v2,
         c_b=_sym(c_b),
-        e_b_ar=e_b_ar,
         v_b3_11=_sym(v_b3_11),
         v_b3_12=v_b3_12,
         v_b3_13=_sym(v_b3_13),
         v_b3_2=_sym(v_b3_2),
-        v_b_ar=v_b_ar,
-        amse=amse,
-        n_samples=n_samples,
         cond_sigma=stats.cond,
     )
+
+    reports = []
+    for length in lengths:
+        e_b_ar = -(n * sigma2 / s) / math.sqrt(length) * st
+        v_als = v1 + v2 / length
+        v_b_ar = v_als + v_b3_1 / length**2 + v_b3_2_pair / length
+        bias_sq = float(e_b_ar @ e_b_ar)
+        amse = (
+            float(np.trace(v1)) / length,
+            (float(np.trace(v_als)) + bias_sq) / length,
+            (float(np.trace(v_b_ar)) + bias_sq) / length,
+        )
+        reports.append(
+            AsymptoticReport(
+                **shared, e_b_ar=e_b_ar, v_b_ar=v_b_ar, amse=amse, n_samples=length
+            )
+        )
+    return reports[0] if single else reports
 
 
 def expansion_terms(

@@ -487,6 +487,21 @@ class TestRidgeEquivalence:
             assert x[key] == pytest.approx(y[key], rel=1e-12), key
         assert x["amse"] == pytest.approx(y["amse"], rel=1e-12)
 
+    @pytest.mark.parametrize("a", [0.0, 0.7, 0.99])
+    @pytest.mark.parametrize("shared_stats", [False, True])
+    def test_many_record_lengths_match_single_reports(self, a, shared_stats):
+        # the blocks shared between record lengths must not move a bit
+        theta = random_theta(np.random.default_rng(7), 12)
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=0.6))
+        noise = NoiseSpec(2.5, fourth_moment=30.0)  # not 3 sigma2^2
+        stats = second_order_stats(filt, theta.size) if shared_stats else None
+        lengths = [1000, 10, 1000]
+        reports = ridge_report(theta, filt, noise, lengths, stats)
+        assert [r.n_samples for r in reports] == lengths
+        for report, n_samples in zip(reports, lengths):
+            single = ridge_report(theta, filt, noise, n_samples)
+            assert report.to_json_dict() == single.to_json_dict()
+
     def test_report_serialization_roundtrip(self):
         theta = random_theta(np.random.default_rng(6), 8)
         report = ridge_report(

@@ -134,6 +134,14 @@ class TestAsymCommand:
         assert f"field {path}:" in capsys.readouterr().err
         assert not (tmp_path / "asym_report.json").exists()
 
+    @pytest.mark.parametrize("n_samples", [0, -5, 4])
+    def test_record_length_must_exceed_order(self, tmp_path, capsys, n_samples):
+        # the truth has 4 coefficients, so N must be at least 5
+        cfg = write_config(tmp_path, dict(ASYM_CONFIG, N=n_samples))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "field N: expected >= 5" in capsys.readouterr().err
+        assert not (tmp_path / "asym_report.json").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a zero truth pushes the analytic ridge optimum out of the box
         broken = dict(ASYM_CONFIG, theta0=[0.0, 0.0, 0.0, 0.0])
@@ -283,10 +291,22 @@ class TestSweepCommand:
             calls.append(n)
             return original(filt, n)
 
+        contractions = []
+        original_contraction = asymptotics._rank1_gram_contraction
+
+        def counted_contraction(*args):
+            contractions.append(args[0].shape)
+            return original_contraction(*args)
+
         monkeypatch.setattr(asymptotics, "second_order_stats", counted)
+        monkeypatch.setattr(
+            asymptotics, "_rank1_gram_contraction", counted_contraction
+        )
         args = ["sweep", "--grid-points", "3", "--n", "6", "--N", "100", "200"]
         assert main(args + ["--seed", "2", "--out", str(tmp_path)]) == 0
         assert calls == [6, 6, 6]
+        # one long-double contraction per pole serves both record lengths
+        assert contractions == [(6, 6)] * 3
         # every row matches a report that builds its own statistics
         theta0 = generate_t1(6, derive_stream(2, montecarlo._SYSTEM_TAG, 0)).theta0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()[4:]
