@@ -227,13 +227,11 @@ def _filter_from_config(cfg: dict) -> FilterSpec:
         raise ConfigError(f"field filter: {exc}") from None
 
 
-def _theta0_from_config(cfg: dict, n_hint, seed: int) -> np.ndarray:
+def _theta0_from_config(cfg: dict, seed: int) -> np.ndarray:
     if "theta0" in cfg:
         return _finite_list(cfg, "theta0")
     kind = _field(cfg, "system.type", str)
-    n = _field(cfg, "system.n", int, required=False, default=n_hint)
-    if n is None:
-        raise ConfigError("missing field: system.n")
+    n = _int_at_least(cfg, "system.n", 1)
     rng = derive_stream(seed, _SYSTEM_TAG, 0)
     if kind == "T1":
         return generate_t1(n, rng).theta0
@@ -276,7 +274,7 @@ def cmd_asym(args) -> int:
     kernel = _kernel_from_config(cfg)
     noise = _noise_from_config(cfg)
     filt = _filter_from_config(cfg)
-    theta0 = _theta0_from_config(cfg, None, seed)
+    theta0 = _theta0_from_config(cfg, seed)
     n_samples = _int_at_least(cfg, "N", theta0.size + 1)
     report = asymptotic_report(kernel, theta0, filt, noise, n_samples)
     doc = report.to_json_dict()

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
@@ -111,7 +112,7 @@ class KernelSpec:
         eta = np.asarray(eta, dtype=float)
         if eta.ndim == 0 or eta.shape[-1] != self.p:
             return False
-        return bool(np.all((self.omega[:, 0] <= eta) & (eta <= self.omega[:, 1])))
+        return bool(((self.omega[:, 0] <= eta) & (eta <= self.omega[:, 1])).all())
 
     @classmethod
     def ridge(cls, omega=None) -> "KernelSpec":
@@ -169,10 +170,64 @@ def _pow(base: np.ndarray | float, expo: np.ndarray) -> np.ndarray:
     negative base is raised as |base| with the sign of odd powers restored,
     which agrees with the much slower direct power to rounding.
     """
-    base = np.asarray(base)
+    return _signed_pow(np.asarray(base), *_power_table(expo))
+
+
+def _power_table(expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The clamped exponent and odd-power mask that _pow applies to expo."""
     expo = np.maximum(expo, 0.0)
-    odd = np.where((base < 0.0) & (expo % 2.0 == 1.0), -1.0, 1.0)
-    return odd * np.abs(base) ** expo
+    return expo, expo % 2.0 == 1.0
+
+
+def _signed_pow(base: np.ndarray, expo: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """_pow with its exponent table (clamped exponent, odd mask) given."""
+    neg = base < 0.0
+    if not neg.any():
+        return np.abs(base) ** expo  # every sign factor would be 1.0
+    return np.where(neg & odd, -1.0, 1.0) * np.abs(base) ** expo
+
+
+_TABLE_CACHE: dict[tuple[str, int], dict] = {}
+
+
+def _kernel_tables(family: str, n: int) -> dict:
+    """Read-only index and exponent tables of a family's kernel at order n.
+
+    They do not depend on eta, so they are built on first use and shared by
+    every later call; each entry of ``pow`` is the _power_table of the
+    exponent of that name.
+    """
+    tables = _TABLE_CACHE.get((family, n))
+    if tables is not None:
+        return tables
+    idx = np.arange(1, n + 1, dtype=float)
+    i = idx[:, None]
+    j = idx[None, :]
+    if family == "tc":
+        m = np.maximum(i, j)
+        grid = {"m": m, "m-1": m - 1, "m-2": m - 2}
+        signed = ("m-1", "m-2")
+    elif family == "ss":
+        m = np.maximum(i, j)
+        e1 = i + j + m
+        e2 = 3.0 * m
+        grid = {
+            "e1": e1, "e1-1": e1 - 1, "e1-2": e1 - 2,
+            "e2": e2, "e2-1": e2 - 1, "e2-2": e2 - 2,
+        }
+        signed = ()
+    elif family == "dc":
+        s = (i + j) / 2.0
+        d = np.abs(i - j)
+        grid = {"s": s, "s-1": s - 1, "s-2": s - 2, "d": d, "d-1": d - 1, "d-2": d - 2}
+        signed = ("d", "d-1", "d-2")
+    else:
+        grid, signed = {}, ()
+    tables = dict(grid, pow={name: _power_table(grid[name]) for name in signed})
+    for arr in list(grid.values()) + [a for pair in tables["pow"].values() for a in pair]:
+        arr.setflags(write=False)
+    _TABLE_CACHE[family, n] = tables
+    return tables
 
 
 def kernel_matrix(
@@ -191,9 +246,8 @@ def kernel_matrix(
         raise OutOfBoxError(f"eta {eta} outside box {spec.omega.tolist()}")
     # hyper-parameters as (..., 1, 1) arrays, broadcast over the index grid
     par = [eta[..., k, None, None] for k in range(spec.p)]
-    idx = np.arange(1, n + 1, dtype=float)
-    i = idx[:, None]
-    j = idx[None, :]
+    t = _kernel_tables(spec.family, n)
+    pw = t["pow"]
 
     # d1 holds dP[k]; d2() gives d2P[k, l] for k <= l, absent entries are
     # zero (deferred: the gradient path has no use for it)
@@ -204,52 +258,49 @@ def kernel_matrix(
         d1, d2 = (_eye(n),), dict
     elif spec.family == "tc":
         c, al = par
-        m = np.maximum(i, j)
+        m = t["m"]
         base = al**m
         P = c * base
         if order == 0:
             return (P,)
-        dal = m * _pow(al, m - 1)
+        dal = m * _signed_pow(al, *pw["m-1"])
         d1 = (base, c * dal)
-        d2 = lambda: {(0, 1): dal, (1, 1): c * m * (m - 1) * _pow(al, m - 2)}
+        d2 = lambda: {(0, 1): dal, (1, 1): c * m * t["m-1"] * _signed_pow(al, *pw["m-2"])}
     elif spec.family == "ss":
         c, al = par
-        m = np.maximum(i, j)
-        e1 = i + j + m
-        e2 = 3.0 * m
+        e1, e2 = t["e1"], t["e2"]
         base = al**e1 / 2.0 - al**e2 / 6.0
         P = c * base
         if order == 0:
             return (P,)
-        dal = e1 * al ** (e1 - 1) / 2.0 - e2 * al ** (e2 - 1) / 6.0
+        dal = e1 * al ** t["e1-1"] / 2.0 - e2 * al ** t["e2-1"] / 6.0
         d1 = (base, c * dal)
         d2 = lambda: {
             (0, 1): dal,
             (1, 1): c * (
-                e1 * (e1 - 1) * al ** (e1 - 2) / 2.0
-                - e2 * (e2 - 1) * al ** (e2 - 2) / 6.0
+                e1 * t["e1-1"] * al ** t["e1-2"] / 2.0
+                - e2 * t["e2-1"] * al ** t["e2-2"] / 6.0
             ),
         }
     else:
         # dc; alpha is strictly positive so its (possibly negative) powers
         # are taken directly, while integer rho exponents are clamped
         c, al, rho = par
-        s = (i + j) / 2.0
-        d = np.abs(i - j)
-        rd = _pow(rho, d)
+        s, d = t["s"], t["d"]
+        rd = _signed_pow(rho, *pw["d"])
         als = al**s
         P = c * als * rd
         if order == 0:
             return (P,)
-        rd1 = d * _pow(rho, d - 1)
-        als1 = s * al ** (s - 1)
+        rd1 = d * _signed_pow(rho, *pw["d-1"])
+        als1 = s * al ** t["s-1"]
         d1 = (als * rd, c * als1 * rd, c * als * rd1)
         d2 = lambda: {
             (0, 1): als1 * rd,
             (0, 2): als * rd1,
-            (1, 1): c * s * (s - 1) * al ** (s - 2) * rd,
+            (1, 1): c * s * t["s-1"] * al ** t["s-2"] * rd,
             (1, 2): c * als1 * rd1,
-            (2, 2): c * als * d * (d - 1) * _pow(rho, d - 2),
+            (2, 2): c * als * d * t["d-1"] * _signed_pow(rho, *pw["d-2"]),
         }
 
     lead = eta.shape[:-1] + (spec.p,)
@@ -323,18 +374,17 @@ def _reduced_cost_grad(
     the prior-fit criterion theta' P^-1 theta + logdet P."""
     n = theta.size
     P, dP, *d2P = kernel_matrix(spec, eta, n, order=2 if hessian else 1)
-    S = P + ridge_term
-    try:
-        factor = cho_factor(S, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    # the LAPACK calls behind cho_factor / cho_solve, without their wrappers
+    chol, info = dpotrf(P + ridge_term, lower=True, clean=False)
+    if info > 0:
         raise NotPositiveDefiniteError(
             "S(eta) factorization failed; check the hyper-parameter box"
-        ) from None
-    z = cho_solve(factor, theta, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+        )
+    z = dpotrs(chol, theta, lower=True)[0]
+    logdet = 2.0 * float(np.log(chol.diagonal()).sum())
     value = float(theta @ z) + logdet
-    s_inv = cho_solve(factor, _eye(n), check_finite=False)
-    grad = np.array([-z @ dP[k] @ z + np.sum(s_inv * dP[k]) for k in range(spec.p)])
+    s_inv = dpotrs(chol, _eye(n), lower=True)[0]
+    grad = np.array([-z @ dP[k] @ z + (s_inv * dP[k]).sum() for k in range(spec.p)])
     if not hessian:
         return value, grad
     # d2 cost / dk dl = 2 z'P_k S^-1 P_l z - z'P_kl z
@@ -375,9 +425,12 @@ def _reduced_cost_batch(
                     chol[g] = np.linalg.cholesky(mat)
                 except np.linalg.LinAlgError:
                     chol[g], ok[g] = _eye(n), False
-        w = np.linalg.solve(chol, np.broadcast_to(theta[:, None], S.shape[:-1] + (1,)))
+        # w = L^-1 theta by forward substitution, all points at once
+        w = np.empty(S.shape[:-1])
+        for r in range(n):
+            w[:, r] = (theta[r] - (chol[:, r, :r] * w[:, :r]).sum(axis=-1)) / chol[:, r, r]
         logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-        values = np.sum(w[..., 0] ** 2, axis=-1) + logdet
+        values = np.sum(w**2, axis=-1) + logdet
     return np.where(ok & np.isfinite(values), values, _COST_ON_FAILURE)
 
 
@@ -406,11 +459,10 @@ def _to_internal(spec: KernelSpec, eta: np.ndarray) -> np.ndarray:
 def _from_internal(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     """Inverse of _to_internal, clipped so the round trip never leaves the box."""
     x = np.asarray(x, dtype=float)
-    eta = np.stack(
-        [_TRANSFORMS[kind][1](x[..., k]) for k, kind in enumerate(spec.coord_kinds)],
-        axis=-1,
-    )
-    return np.clip(eta, spec.omega[:, 0], spec.omega[:, 1])
+    eta = np.empty(x.shape)
+    for k, kind in enumerate(spec.coord_kinds):
+        eta[..., k] = _TRANSFORMS[kind][1](x[..., k])
+    return eta.clip(spec.omega[:, 0], spec.omega[:, 1], out=eta)
 
 
 def _chain_factors(spec: KernelSpec, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -519,7 +571,11 @@ def minimize_box(
                 out = _reduced_cost_grad(eta, theta, ridge_term, spec, hessian)
             except NotPositiveDefiniteError:
                 out = (math.inf,)
-        if not (math.isfinite(out[0]) and all(np.isfinite(t).all() for t in out[1:])):
+        if not (
+            math.isfinite(out[0])
+            and np.isfinite(out[1]).all()
+            and (not hessian or np.isfinite(out[2]).all())
+        ):
             return (_COST_ON_FAILURE, np.zeros(p), np.zeros((p, p)))[: 2 + hessian]
         d1, d2 = _chain_factors(spec, eta)
         if not hessian:

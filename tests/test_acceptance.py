@@ -371,24 +371,25 @@ def test_criterion_8_pole_sweep_monotonicity():
                 return i + 1
         return points + 1
 
-    earliest = {}
+    # one report call per (truth, pole) gives both record lengths
+    lengths = (1000, 100000)
+    fields = ("cond_sigma", "e_b_ar_sq_norm", "trace_v_als", "trace_v_b_ar")
+    nondec = lambda xs: all(b >= a for a, b in zip(xs, xs[1:]))
+    turns = {n_samples: [] for n_samples in lengths}
     ok = True
-    detail = []
-    for n_samples in (1000, 100000):
-        turns = []
-        for theta in truths:
-            conds, biases, v_als_tr, v_ar_tr = [], [], [], []
-            for filt, stats in stats_by_point:
-                doc = ridge_report(theta, filt, noise, n_samples, stats).to_json_dict()
-                conds.append(doc["cond_sigma"])
-                biases.append(doc["e_b_ar_sq_norm"])
-                v_als_tr.append(doc["trace_v_als"])
-                v_ar_tr.append(doc["trace_v_b_ar"])
-            nondec = lambda xs: all(b >= a for a, b in zip(xs, xs[1:]))
-            ok = ok and nondec(conds) and nondec(biases) and nondec(v_als_tr)
-            turns.append(first_decrease(v_ar_tr))
-        earliest[n_samples] = min(turns)
-        detail.append(f"N={n_samples}: earliest turn {min(turns)}/{points}")
+    for theta in truths:
+        series = {n_samples: {key: [] for key in fields} for n_samples in lengths}
+        for filt, stats in stats_by_point:
+            for n_samples, rep in zip(lengths, ridge_report(theta, filt, noise, lengths, stats)):
+                doc = rep.to_json_dict()
+                for key in fields:
+                    series[n_samples][key].append(doc[key])
+        for n_samples, values in series.items():
+            ok = ok and nondec(values["cond_sigma"]) and nondec(values["e_b_ar_sq_norm"])
+            ok = ok and nondec(values["trace_v_als"])
+            turns[n_samples].append(first_decrease(values["trace_v_b_ar"]))
+    earliest = {n_samples: min(turns[n_samples]) for n_samples in lengths}
+    detail = [f"N={n}: earliest turn {earliest[n]}/{points}" for n in lengths]
     ok = ok and earliest[100000] >= earliest[1000]
     report(8, "pole-sweep monotonicity", ok, time.time() - start, 60, "; ".join(detail))
 

@@ -142,6 +142,13 @@ class TestAsymCommand:
         assert "field N: expected >= 5" in capsys.readouterr().err
         assert not (tmp_path / "asym_report.json").exists()
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_system_order_must_be_positive(self, tmp_path, capsys, order):
+        cfg = write_config(tmp_path, dict(CRITERION_9_ASYM, system={"type": "T1", "n": order}))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "field system.n: expected >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "asym_report.json").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a zero truth pushes the analytic ridge optimum out of the box
         broken = dict(ASYM_CONFIG, theta0=[0.0, 0.0, 0.0, 0.0])

@@ -91,6 +91,28 @@ class TestKernelMatrix:
             direct = base ** np.maximum(expo, 0.0)
             np.testing.assert_allclose(est._pow(base, expo), direct, rtol=4e-16, atol=0)
 
+    def test_index_tables_are_read_only(self):
+        for family in ("tc", "ss", "dc"):
+            tables = est._kernel_tables(family, 5)
+            powers = tables["pow"].values()
+            arrays = [v for k, v in tables.items() if k != "pow"] + [a for pw in powers for a in pw]
+            for arr in arrays:
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0
+
+    def test_cached_tables_repeat_the_first_call(self, monkeypatch):
+        # families and sizes interleaved; the second n = 5 pass reads the
+        # tables that the first one cached
+        monkeypatch.setattr(est, "_TABLE_CACHE", {})
+        first = {}
+        for n in (5, 6, 5):
+            for spec in ALL_SPECS:
+                eta = interior_eta(spec, np.random.default_rng(4))
+                out = kernel_matrix(spec, eta, n)
+                for whole, ref in zip(out, first.setdefault((spec.family, n), out)):
+                    assert whole.shape == ref.shape and (whole == ref).all()
+        assert sorted(est._TABLE_CACHE) == sorted((s.family, n) for s in ALL_SPECS for n in (5, 6))
+
     def test_tc_small_example(self):
         P, _, _ = kernel_matrix(KernelSpec.tc(), np.array([1.0, 0.5]), 2)
         np.testing.assert_allclose(P, [[0.5, 0.25], [0.25, 0.25]], rtol=1e-15)

@@ -13,6 +13,7 @@ from firasym import (
     FilterSpec,
     KernelSpec,
     NoiseSpec,
+    NotPositiveDefiniteError,
     OptimizerOptions,
     SecondOrderAR,
     build_dataset,
@@ -258,6 +259,48 @@ class TestHessian:
                 gm = est._reduced_cost_grad(eta - step, theta, ridge_term, spec)[1]
                 fd = (gp - gm) / (2.0 * h)
                 np.testing.assert_allclose(hess[:, k], fd, rtol=1e-5, atol=1e-7 * np.abs(fd).max())
+
+
+class TestFailedPoints:
+    """A ridge term of -I makes S = (c - 1) I, which is not positive
+    definite exactly where c <= 1."""
+
+    theta = np.array([1.0, -2.0, 0.5])
+    ridge_term = -np.eye(3)
+    spec = KernelSpec.ridge()
+
+    def test_cost_raises(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            est._reduced_cost_grad(np.array([0.5]), self.theta, self.ridge_term, self.spec)
+
+    def test_batch_fails_only_that_point(self):
+        etas = np.array([[0.5], [2.0], [3.0]])
+        batch = est._reduced_cost_batch(etas, self.theta, self.ridge_term, self.spec)
+        assert batch[0] == est._COST_ON_FAILURE
+        for eta, value in zip(etas[1:], batch[1:]):
+            single = est._reduced_cost_grad(eta, self.theta, self.ridge_term, self.spec)[0]
+            assert value == pytest.approx(single, rel=1e-12, abs=0)
+
+    def test_search_scores_it_as_a_failure(self, monkeypatch):
+        evaluations = []
+        original = est.minimize
+
+        def keep_objective(fun, *args, **kwargs):
+            evaluations.append(fun)
+            return original(fun, *args, **kwargs)
+
+        monkeypatch.setattr(est, "minimize", keep_objective)
+        eta, value, _ = est.minimize_box(self.theta, self.ridge_term, self.spec)
+        x = np.log([0.5])
+        value_f, grad_f = evaluations[0](x)
+        assert value_f == est._COST_ON_FAILURE and (grad_f == 0.0).all()
+        value_h, grad_h, hess_h = evaluations[0](x, True)
+        assert value_h == est._COST_ON_FAILURE and (hess_h == 0.0).all()
+        # on c > 1 the cost theta'theta / (c - 1) + 3 log(c - 1) is least at
+        # c - 1 = theta'theta / 3
+        s = float(self.theta @ self.theta)
+        assert eta[0] == pytest.approx(1.0 + s / 3.0, rel=1e-8)
+        assert value == pytest.approx(3.0 + 3.0 * math.log(s / 3.0), rel=1e-12)
 
 
 class TestBatchedCost:
