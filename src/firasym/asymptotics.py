@@ -187,12 +187,6 @@ def c_gamma(filt: FilterSpec, n: int) -> np.ndarray:
     if isinstance(kind, SecondOrderAR):
         a, c_u = kind.a, kind.c_u
         se2 = filt.sigma_e2
-        if a == 0.0:
-            table = np.zeros((n, n))
-            diag = np.arange(n)
-            table[diag, diag] = c_u**4 * se2**2
-            table[0, 0] = c_u**4 * (filt.kurtosis_ratio - 1.0) * se2**2
-            return table
         k = np.arange(n, dtype=float)[:, None]
         l = np.arange(n, dtype=float)[None, :]
         one = 1.0 - a * a

@@ -32,6 +32,7 @@ from .montecarlo import (
     aggregates_json_dict,
     run_experiment,
     table1,
+    write_header,
     write_records_csv,
 )
 from .signals import (
@@ -195,10 +196,7 @@ def _kernel_from_config(cfg: dict) -> KernelSpec:
     family = _field(cfg, "kernel.family", str)
     omega = _field(cfg, "kernel.omega", list, required=False)
     try:
-        box = np.array(omega, dtype=float) if omega else None
-        if box is not None and not np.all(np.isfinite(box)):
-            raise ValueError("omega bounds must be finite")
-        return KernelSpec(family, box)
+        return KernelSpec(family, np.array(omega, dtype=float) if omega else None)
     except ValueError as exc:
         raise ConfigError(f"field kernel: {exc}") from None
 
@@ -343,8 +341,7 @@ def cmd_table1(args) -> int:
     header = _header(flag_cfg, args.seed)
     out_path = os.path.join(args.out, "table1.csv")
     with open(out_path, "w") as handle:
-        for key, value in header.items():
-            handle.write(f"# {key}={value}\n")
+        write_header(handle, header)
         handle.write("a,cond_sigma,mean_cond_phitphi\n")
         for row in rows:
             handle.write(
@@ -411,8 +408,7 @@ def cmd_sweep(args) -> int:
                 f"{doc['trace_v_b_ar']!r}\n"
             )
     with open(out_path, "w") as handle:
-        for key, value in header.items():
-            handle.write(f"# {key}={value}\n")
+        write_header(handle, header)
         handle.write(
             "n_samples,a,cu2,cond_sigma,e_b_ar_sq_norm,trace_v_als,trace_v_b_ar\n"
         )

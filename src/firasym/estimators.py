@@ -38,6 +38,8 @@ _TRANSFORMS = {
     "logit": (logit, expit, lambda v: (v * (1.0 - v), v * (1.0 - v) * (1.0 - 2.0 * v))),
     "atanh": (np.arctanh, np.tanh, lambda v: (1.0 - v**2, -2.0 * v * (1.0 - v**2))),
 }
+# Open domain of each coordinate kind; box rows must lie strictly inside it.
+_DOMAINS = {"log": (0.0, math.inf), "logit": (0.0, 1.0), "atanh": (-1.0, 1.0)}
 _COORD_KINDS = {
     "ridge": ("log",),
     "tc": ("log", "logit"),
@@ -96,8 +98,14 @@ class KernelSpec:
             raise ValueError(
                 f"omega must have shape ({expected}, 2) for family {self.family!r}"
             )
-        if np.any(self.omega[:, 0] >= self.omega[:, 1]):
-            raise ValueError("each omega row must satisfy lo < hi")
+        for k, kind in enumerate(_COORD_KINDS[self.family]):
+            lo, hi = self.omega[k]
+            dom_lo, dom_hi = _DOMAINS[kind]
+            if not dom_lo < lo < hi < dom_hi:  # also rejects NaN and inf
+                raise ValueError(
+                    f"omega row {k} must satisfy {dom_lo} < lo < hi < {dom_hi}"
+                    f" ({kind} coordinate), got [{lo}, {hi}]"
+                )
 
     @property
     def p(self) -> int:
@@ -143,8 +151,6 @@ class OptimizerOptions:
 
 @dataclass
 class OptimizerStats:
-    starts: int
-    iterations: int
     converged: bool
     at_boundary: bool
 
@@ -162,29 +168,26 @@ class EbFit:
     stats: OptimizerStats
 
 
-def _pow(base: np.ndarray | float, expo: np.ndarray) -> np.ndarray:
-    """base**expo for integer-valued exponents, negative ones clamped to zero.
+def _power_table(expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The clamped exponent and odd-power mask that _signed_pow takes."""
+    expo = np.maximum(expo, 0.0)
+    return expo, expo % 2.0 == 1.0
+
+
+def _signed_pow(base: np.ndarray, expo: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """base**expo for integer-valued exponents, given as their _power_table:
+    negative exponents clamped to zero, and the odd-power mask.
 
     Callers multiply by a polynomial coefficient that vanishes exactly where
     the exponent was clamped, so the clamp never changes a value.  A
     negative base is raised as |base| with the sign of odd powers restored,
     which agrees with the much slower direct power to rounding.
     """
-    return _signed_pow(np.asarray(base), *_power_table(expo))
-
-
-def _power_table(expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The clamped exponent and odd-power mask that _pow applies to expo."""
-    expo = np.maximum(expo, 0.0)
-    return expo, expo % 2.0 == 1.0
-
-
-def _signed_pow(base: np.ndarray, expo: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """_pow with its exponent table (clamped exponent, odd mask) given."""
     neg = base < 0.0
-    if not neg.any():
-        return np.abs(base) ** expo  # every sign factor would be 1.0
-    return np.where(neg & odd, -1.0, 1.0) * np.abs(base) ** expo
+    power = np.abs(base) ** expo
+    if neg.any():
+        np.negative(power, out=power, where=neg & odd)
+    return power
 
 
 _TABLE_CACHE: dict[tuple[str, int], dict] = {}
@@ -502,11 +505,10 @@ def _newton_polish(eval_internal, x, lo, hi, max_iters=30, grad_tol=1e-9):
     its relative floor, which can leave a gradient around 1e-6 (more along
     a long curved valley); this drives the projected gradient further down
     so returned minima satisfy tight first-order optimality.  Returns
-    (x, cost at x, cost evaluations).
+    (x, cost at x).
     """
     value, grad, hess = eval_internal(x, True)
     ref = value
-    evals = 0
     for _ in range(max_iters):
         free = _free(x, grad, lo, hi)
         gnorm = np.linalg.norm(grad[free])
@@ -525,7 +527,6 @@ def _newton_polish(eval_internal, x, lo, hi, max_iters=30, grad_tol=1e-9):
         for damp in (1.0, 0.5, 0.25, 0.1, 0.01):
             cand = np.clip(x + damp * step, lo, hi)
             cand_value, cand_grad, cand_hess = eval_internal(cand, True)
-            evals += 1
             if cand_value < ref or (
                 cand_value <= value_cap
                 and np.linalg.norm(cand_grad[_free(cand, cand_grad, lo, hi)]) < gnorm
@@ -535,7 +536,7 @@ def _newton_polish(eval_internal, x, lo, hi, max_iters=30, grad_tol=1e-9):
                 break
         else:
             break
-    return x, value, evals
+    return x, value
 
 
 def minimize_box(
@@ -588,7 +589,6 @@ def minimize_box(
     ranked = np.lexsort(tuple(lattice.T[::-1]) + (costs,))
 
     candidates: list[tuple[float, tuple[float, ...], bool]] = []
-    iterations = 0
     for x0 in lattice[ranked[: opts.starts]]:
         res = minimize(
             eval_internal,
@@ -598,10 +598,7 @@ def minimize_box(
             bounds=list(zip(lo, hi)),
             options={"maxiter": opts.max_iters, "ftol": 1e-14, "gtol": 1e-10},
         )
-        x_pol, value_pol, newton_evals = _newton_polish(
-            eval_internal, np.clip(res.x, lo, hi), lo, hi
-        )
-        iterations += res.nit + newton_evals
+        x_pol, value_pol = _newton_polish(eval_internal, np.clip(res.x, lo, hi), lo, hi)
         candidates.append((value_pol, tuple(x_pol), bool(res.success)))
 
     best_value = min(c[0] for c in candidates)
@@ -614,10 +611,7 @@ def minimize_box(
         np.any(x_arr - lo <= 1e-6 * (hi - lo)) or np.any(hi - x_arr <= 1e-6 * (hi - lo))
     )
     stats = OptimizerStats(
-        starts=opts.starts,
-        iterations=int(iterations),
-        converged=success and value < _COST_ON_FAILURE,
-        at_boundary=at_boundary,
+        converged=success and value < _COST_ON_FAILURE, at_boundary=at_boundary
     )
     return _from_internal(spec, x_arr), float(value), stats
 

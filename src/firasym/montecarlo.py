@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -88,6 +88,9 @@ class ExperimentConfig:
 
 @dataclass
 class RecordResult:
+    """One fitted record.  Its fields, in order, are the columns of
+    records.csv, with eta_hat spread over eta_hat_1..p."""
+
     record_id: int
     system_id: int
     a: float
@@ -107,7 +110,6 @@ class CollectionTheory:
     """Limit quantities for one (system, collection) pair."""
 
     eta_star: np.ndarray
-    trace_v_b_h: float
     amse: tuple[float, float, float]
 
 
@@ -171,7 +173,7 @@ def compare_amse(
 def make_system(config: ExperimentConfig, system_id: int) -> FirSystem:
     """System for a given id, reproducible from the master seed."""
     if config.system_type == "explicit":
-        return FirSystem(theta0=config.theta0.copy(), label="explicit")
+        return FirSystem(theta0=config.theta0.copy())
     rng = derive_stream(config.master_seed, _SYSTEM_TAG, system_id)
     if config.system_type == "T1":
         return generate_t1(config.n, rng)
@@ -208,11 +210,7 @@ def experiment_theory(
             t3 = regularized_error_moments(
                 system.theta0, t1, stats, config.noise, config.n_samples
             )
-            theory[sys_id, coll_id] = CollectionTheory(
-                eta_star=star,
-                trace_v_b_h=float(np.trace(t1.v_b_h)),
-                amse=t3.amse,
-            )
+            theory[sys_id, coll_id] = CollectionTheory(eta_star=star, amse=t3.amse)
     return theory
 
 
@@ -386,12 +384,11 @@ def table1(
     n_samples: int,
     records: int,
     seed: int,
-    sigma_e2: float = 1.0,
 ) -> list[dict]:
     """Exact cond(Sigma) next to the simulated average cond(Phi'Phi)."""
     rows = []
     for a_idx, a in enumerate(a_values):
-        filt = FilterSpec(kind=SecondOrderAR(a=a, c_u=1.0), sigma_e2=sigma_e2)
+        filt = FilterSpec(kind=SecondOrderAR(a=a, c_u=1.0))
         sig_eigs = np.linalg.eigvalsh(sigma_matrix(filt, n))
         conds = []
         for rec in range(records):
@@ -412,49 +409,45 @@ def table1(
 
 # ---------------------------------------------------------------- persistence
 
-_BASE_COLUMNS = [
-    "record_id",
-    "system_id",
-    "a",
-    "cu2",
-    "sigma2_hat",
-    "mse_g",
-    "fit_g",
-    "cond_phitphi",
-    "cost",
-    "converged",
-    "at_boundary",
-]
+# records.csv cells are read back by the annotation of their RecordResult field
+_PARSE = {"int": int, "float": float, "bool": lambda text: bool(int(text))}
+
+
+def write_header(handle, header: dict | None) -> None:
+    """The ``# key=value`` lines that open a CSV artifact."""
+    for key, value in (header or {}).items():
+        handle.write(f"# {key}={value}\n")
 
 
 def csv_columns(p: int) -> list[str]:
-    eta = [f"eta_hat_{k + 1}" for k in range(p)]
-    return _BASE_COLUMNS[:4] + eta + _BASE_COLUMNS[4:]
+    columns = []
+    for f in fields(RecordResult):
+        if f.name == "eta_hat":
+            columns += [f"eta_hat_{k + 1}" for k in range(p)]
+        else:
+            columns.append(f.name)
+    return columns
 
 
 def write_records_csv(
     path, records: list[RecordResult], p: int, header: dict | None = None
 ) -> None:
-    """Persist per-record results; floats keep full round-trip precision."""
+    """Persist per-record results; floats keep full round-trip precision
+    (``repr``) and flags are written as 0/1."""
     with open(path, "w", newline="") as handle:
-        for key, value in (header or {}).items():
-            handle.write(f"# {key}={value}\n")
+        write_header(handle, header)
         writer = csv.writer(handle)
         writer.writerow(csv_columns(p))
+        names = [f.name for f in fields(RecordResult)]
         for r in records:
-            writer.writerow(
-                [r.record_id, r.system_id, repr(r.a), repr(r.cu2)]
-                + [repr(x) for x in r.eta_hat]
-                + [
-                    repr(r.sigma2_hat),
-                    repr(r.mse_g),
-                    repr(r.fit_g),
-                    repr(r.cond_phitphi),
-                    repr(r.cost),
-                    int(r.converged),
-                    int(r.at_boundary),
-                ]
-            )
+            row = []
+            for name in names:
+                value = getattr(r, name)
+                if name == "eta_hat":
+                    row += map(repr, value)
+                else:
+                    row.append(int(value) if isinstance(value, bool) else repr(value))
+            writer.writerow(row)
 
 
 def read_records_csv(path) -> list[RecordResult]:
@@ -466,23 +459,14 @@ def read_records_csv(path) -> list[RecordResult]:
     p = sum(1 for c in columns if c.startswith("eta_hat_"))
     records = []
     for row in reader:
-        vals = dict(zip(columns, row))
-        records.append(
-            RecordResult(
-                record_id=int(vals["record_id"]),
-                system_id=int(vals["system_id"]),
-                a=float(vals["a"]),
-                cu2=float(vals["cu2"]),
-                eta_hat=tuple(float(vals[f"eta_hat_{k + 1}"]) for k in range(p)),
-                sigma2_hat=float(vals["sigma2_hat"]),
-                mse_g=float(vals["mse_g"]),
-                fit_g=float(vals["fit_g"]),
-                cond_phitphi=float(vals["cond_phitphi"]),
-                cost=float(vals["cost"]),
-                converged=bool(int(vals["converged"])),
-                at_boundary=bool(int(vals["at_boundary"])),
-            )
-        )
+        cells = dict(zip(columns, row))
+        values = {
+            f.name: _PARSE[f.type](cells[f.name])
+            for f in fields(RecordResult)
+            if f.name != "eta_hat"
+        }
+        eta_hat = tuple(float(cells[f"eta_hat_{k + 1}"]) for k in range(p))
+        records.append(RecordResult(eta_hat=eta_hat, **values))
     return records
 
 

@@ -102,7 +102,6 @@ class FirSystem:
     """True FIR coefficients g_1 ... g_n."""
 
     theta0: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         self.theta0 = np.asarray(self.theta0, dtype=float)
@@ -120,7 +119,6 @@ class FirSystem:
 class Dataset:
     """One identification record: Y = Phi theta0 + V.
 
-    ``u`` holds the input on t = 1-n ... N-1, so u(t) = u[t + n - 1].
     Row t of ``phi`` is [u(t-1), ..., u(t-n)].  ``v`` is the realized noise
     (kept for expansion-identity checks) or None when unknown.  ``gram`` and
     ``theta_ls`` are formed on first use and cached, so ``phi`` and ``y``
@@ -129,10 +127,8 @@ class Dataset:
 
     phi: np.ndarray
     y: np.ndarray
-    u: np.ndarray
     v: np.ndarray | None
     system: FirSystem
-    noise: NoiseSpec
 
     @property
     def n_samples(self) -> int:
@@ -169,8 +165,6 @@ def impulse_response(filt: FilterSpec, tail_tol: float) -> np.ndarray:
     if isinstance(kind, ImpulseSequence):
         return kind.h.copy()
     a, c_u = kind.a, kind.c_u
-    if a == 0.0:
-        return np.array([c_u])
     # sum_{k>=m} (k+1) a^k = a^m [(m+1)(1-a) + a] / (1-a)^2, exact.
     total = 1.0 / (1.0 - a) ** 2
     cut = 0
@@ -209,19 +203,12 @@ def _burn_in_length(a: float) -> int:
 
 
 def generate_input(
-    filt: FilterSpec,
-    n: int,
-    n_samples: int,
-    rng: RandomStream,
-    zero_pad_negative_t: bool = False,
+    filt: FilterSpec, n: int, n_samples: int, rng: RandomStream
 ) -> np.ndarray:
     """Draw the input u(t) for t = 1-n, ..., n_samples-1.
 
     The filter is warmed up long enough that the startup transient is below
     numerical noise, so the returned stretch is (numerically) stationary.
-    With ``zero_pad_negative_t`` the samples at t < 0 are forced to zero
-    instead, matching the convention that the plant saw no input before
-    start-up.
     """
     if n < 1 or n_samples <= n:
         raise ValueError("need n >= 1 and n_samples > n")
@@ -232,14 +219,10 @@ def generate_input(
         burn = _burn_in_length(kind.a)
         e = rng.standard_normal(burn + length) * scale
         den = np.array([1.0, -2.0 * kind.a, kind.a**2])
-        u = lfilter(np.array([kind.c_u]), den, e)[burn:]
-    else:
-        h = kind.h
-        e = rng.standard_normal(length + h.size - 1) * scale
-        u = np.convolve(e, h, mode="valid")
-    if zero_pad_negative_t:
-        u[: n - 1] = 0.0
-    return u
+        return lfilter(np.array([kind.c_u]), den, e)[burn:]
+    h = kind.h
+    e = rng.standard_normal(length + h.size - 1) * scale
+    return np.convolve(e, h, mode="valid")
 
 
 def lag_matrix(u: np.ndarray, n: int) -> np.ndarray:
@@ -269,7 +252,6 @@ def build_dataset(
     the caller is expected to retry with a fresh seed.
     """
     n = system.order
-    u = np.asarray(u, dtype=float)
     phi = lag_matrix(u, n)
     n_samples = phi.shape[0]
     if noise_free:
@@ -277,7 +259,7 @@ def build_dataset(
     else:
         v = rng.standard_normal(n_samples) * math.sqrt(noise.sigma2)
     y = phi @ system.theta0 + v
-    data = Dataset(phi=phi, y=y, u=u, v=v, system=system, noise=noise)
+    data = Dataset(phi=phi, y=y, v=v, system=system)
     try:
         np.linalg.cholesky(data.gram)
     except np.linalg.LinAlgError:
@@ -296,7 +278,7 @@ def generate_t1(n: int, rng: RandomStream) -> FirSystem:
     sigma_g2 = rng.uniform(0.5, 3.0)
     theta = rng.standard_normal(n) * math.sqrt(sigma_g2)
     theta *= 10.0 / np.linalg.norm(theta)
-    return FirSystem(theta0=theta, label="T1")
+    return FirSystem(theta0=theta)
 
 
 def generate_t2(n: int, rng: RandomStream) -> FirSystem:
@@ -319,7 +301,7 @@ def generate_t2(n: int, rng: RandomStream) -> FirSystem:
     if nrm == 0.0:  # cannot happen for stable nontrivial systems
         raise ValueError("degenerate impulse response")
     theta = theta * (10.0 / nrm)
-    return FirSystem(theta0=theta, label="T2")
+    return FirSystem(theta0=theta)
 
 
 def _random_roots(

@@ -113,15 +113,17 @@ class TestSigmaMatrix:
 class TestGramFourthMoments:
     def test_white_noise_pattern(self):
         n = 4
-        mat = expand_c_gamma(c_gamma(FilterSpec(SecondOrderAR(a=0.0, c_u=1.0)), n))
         pos = np.arange(n * n)
         col, row = pos // n, pos % n
         k = np.abs(col[:, None] - col[None, :])
         l = np.abs(row[:, None] - row[None, :])
-        expected = np.where(k == l, np.where(k == 0, 2.0, 1.0), 0.0)
         # all same-lag off-origin entries are 1, the origin carries the
-        # excess fourth moment (2 for Gaussian innovations), rest vanish
-        np.testing.assert_allclose(mat, expected, rtol=0, atol=1e-15)
+        # kurtosis ratio less one (2 for Gaussian innovations), rest vanish
+        for kurtosis in (1.0, 3.0, 5.0):
+            filt = FilterSpec(SecondOrderAR(a=0.0, c_u=1.0), kurtosis_ratio=kurtosis)
+            mat = expand_c_gamma(c_gamma(filt, n))
+            expected = np.where(k == l, np.where(k == 0, kurtosis - 1.0, 1.0), 0.0)
+            np.testing.assert_allclose(mat, expected, rtol=0, atol=1e-15)
 
     def test_exactly_symmetric(self):
         mat = c_gamma(FilterSpec(SecondOrderAR(a=0.4, c_u=1.2)), 5)

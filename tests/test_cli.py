@@ -125,10 +125,20 @@ class TestAsymCommand:
             ({"theta0": [2.0, -math.inf]}, "theta0"),
             ({"theta0": ["2.0"]}, "theta0"),
             ({"kernel": {"family": "ridge", "omega": [[1e-9, math.inf]]}}, "kernel"),
+            # box rows outside their coordinate's open domain: log (0, inf),
+            # logit (0, 1), atanh (-1, 1)
+            ({"kernel": {"family": "tc", "omega": [[1e-9, 1e9], [-0.5, 0.9]]}}, "kernel"),
+            (
+                {"kernel": {"family": "dc", "omega": [[1e-9, 1e9], [1e-6, 0.9], [-1.5, 0.9]]}},
+                "kernel",
+            ),
+            ({"kernel": {"family": "ridge", "omega": [[-1.0, 1e9]]}}, "kernel"),
         ],
     )
     def test_non_finite_number_is_named(self, tmp_path, capsys, change, path):
-        # json reads NaN and Infinity; a report built from them is not JSON
+        # json reads NaN and Infinity; a report built from them is not JSON.
+        # A kernel box row is checked against its coordinate's domain, which
+        # also rejects NaN and inf
         cfg = write_config(tmp_path, dict(ASYM_CONFIG, **change))
         assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"field {path}:" in capsys.readouterr().err
@@ -218,6 +228,7 @@ class TestMcCommand:
             ({"noise": {"sigma2": -math.inf}}, "noise.sigma2"),
             ({"system": {"type": "explicit", "theta0": [1.0] * 5 + [math.inf]}},
              "system.theta0"),
+            ({"kernel": {"family": "tc", "omega": [[1e-9, 1e9], [-0.5, 0.9]]}}, "kernel"),
         ],
     )
     def test_invalid_field_is_named(self, tmp_path, capsys, change, path):
@@ -384,7 +395,7 @@ class TestStrict:
         )
         assert main(["asym", "--config", cfg, "--strict", "--out", str(tmp_path)]) == 0
 
-    def test_degenerate_bound_warning_escalates(self, tmp_path, monkeypatch):
+    def test_singular_hessian_warning_escalates(self, tmp_path, monkeypatch):
         original = cli.asymptotic_report
 
         def warn_then_report(*args, **kwargs):

@@ -125,12 +125,6 @@ class TestGenerateInput:
         ) / u.size
         assert abs(u.var() - r0) <= 3.0 * math.sqrt(var_of_var)
 
-    def test_zero_pad_flag(self):
-        filt = FilterSpec(SecondOrderAR(a=0.4, c_u=1.0))
-        u = generate_input(filt, 6, 50, derive_stream(9), zero_pad_negative_t=True)
-        np.testing.assert_array_equal(u[:5], np.zeros(5))
-        assert np.all(u[5:] != 0.0)
-
 
 class TestBuildDataset:
     def test_lag_structure_small(self):

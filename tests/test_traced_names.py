@@ -3,6 +3,8 @@ firasym by name.  A refactor that drops or renames one of them makes every
 traced benchmark run stop with TraceError; this catches it in the unit run.
 The tracing module is only read, never modified."""
 
+import json
+import math
 import runpy
 from pathlib import Path
 
@@ -94,3 +96,33 @@ def test_sweep_spans_feed_the_layer_metrics(tmp_path):
     metrics = tracing["layer_metrics"]("sweep_grid", tracer.spans, {})
     assert metrics["asymptotics.second_order_stats_calls"] == 1.0
     assert metrics["asymptotics.sigma_matrix_calls"] == 2.0
+
+
+def test_mc_spans_feed_the_layer_metrics(tmp_path):
+    # the benchmark reads the search's L-BFGS-B results and each fit's
+    # converged and at_boundary flags from these spans
+    tracing = runpy.run_path(str(TRACING))
+    tracer = tracing["Tracer"](MODULES)
+    with tracer:
+        for family in ("ridge", "tc", "dc"):
+            cfg = {
+                "kernel": {"family": family},
+                "system": {"type": "T1", "count": 1},
+                "n": 4,
+                "N": 60,
+                "filters": [[0.5, 1.0]],
+                "noise": {"sigma2": 1.0},
+                "records": 1,
+            }
+            path = tmp_path / f"{family}.json"
+            path.write_text(json.dumps(cfg))
+            argv = ["mc", "--config", str(path), "--out", str(tmp_path / family)]
+            attrs = {"case": family, "items": 1}
+            assert tracer.call("cli.main", cli.main, argv, attrs=attrs) == 0
+    metrics = tracing["layer_metrics"]("mc_fit", tracer.spans, {})
+    declared = json.loads((TRACING.parents[1] / "BENCHMARK.json").read_text())
+    families = (".ridge", ".tc", ".dc")
+    assert set(metrics) == {
+        m["name"] for m in declared["per_layer"] if m["name"].endswith(families)
+    }
+    assert all(math.isfinite(value) for value in metrics.values())
