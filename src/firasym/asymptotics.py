@@ -69,32 +69,15 @@ class SecondOrderStats:
 @dataclass
 class HyperParameterLaw:
     """Curvature a_b, sensitivity rows b_b, and the limiting covariance
-    v_b_h of the scaled hyper-parameter error, with the inverses of P(eta*)
-    and a_b that the third-order blocks reuse."""
+    v_b_h of the scaled hyper-parameter error at eta_star, with the inverses
+    of P(eta*) and a_b that the third-order blocks reuse."""
 
+    eta_star: np.ndarray
     a_b: np.ndarray
     b_b: np.ndarray
     v_b_h: np.ndarray
     p_inv: np.ndarray
     a_inv: np.ndarray
-
-
-@dataclass
-class RegularizedErrorMoments:
-    """Third-order mean and covariance blocks of the scaled coefficient
-    error, the first- and second-order LS-error covariances they build on,
-    and the mean-square-error approximations of orders 1..3."""
-
-    v_als_1: np.ndarray
-    v_als_2: np.ndarray
-    c_b: np.ndarray
-    e_b_ar: np.ndarray
-    v_b3_11: np.ndarray
-    v_b3_12: np.ndarray
-    v_b3_13: np.ndarray
-    v_b3_2: np.ndarray
-    v_b_ar: np.ndarray
-    amse: tuple[float, float, float]
 
 
 @dataclass
@@ -364,7 +347,12 @@ def hyper_parameter_law(
     half = a_inv @ b_b  # p x n
     v_b_h = 4.0 * sigma2 * half @ np.linalg.solve(sigma, half.T)
     return HyperParameterLaw(
-        a_b=a_b, b_b=b_b, v_b_h=_sym(v_b_h), p_inv=p_inv, a_inv=a_inv
+        eta_star=eta_star_value,
+        a_b=a_b,
+        b_b=b_b,
+        v_b_h=_sym(v_b_h),
+        p_inv=p_inv,
+        a_inv=a_inv,
     )
 
 
@@ -414,11 +402,12 @@ def regularized_error_moments(
     stats: SecondOrderStats,
     noise: NoiseSpec,
     n_samples: int,
-) -> RegularizedErrorMoments:
-    """Mean and covariance blocks of the third-order law of the scaled
-    regularized-estimate error, plus the order-1/2/3 MSE approximations.
-    The inverses of P(eta*), a_b and Sigma are read from ``law`` and
-    ``stats``."""
+) -> AsymptoticReport:
+    """The report at ``law``'s eta_star: the mean and covariance blocks of
+    the third-order law of the scaled regularized-estimate error and the
+    order-1/2/3 MSE approximations, next to the hyper-parameter blocks of
+    ``law``.  The inverses of P(eta*), a_b and Sigma are read from ``law``
+    and ``stats``."""
     theta0 = np.asarray(theta0, dtype=float)
     sigma2 = noise.sigma2
     p_inv, s_inv = law.p_inv, stats.sigma_inv
@@ -443,7 +432,11 @@ def regularized_error_moments(
         (float(np.trace(v_als)) + bias_sq) / n_samples,
         (float(np.trace(v_b_ar)) + bias_sq) / n_samples,
     )
-    return RegularizedErrorMoments(
+    return AsymptoticReport(
+        eta_star=law.eta_star,
+        a_b=law.a_b,
+        b_b=law.b_b,
+        v_b_h=law.v_b_h,
         v_als_1=v1,
         v_als_2=v2,
         c_b=c_b,
@@ -454,6 +447,8 @@ def regularized_error_moments(
         v_b3_2=v_b3_2,
         v_b_ar=v_b_ar,
         amse=amse,
+        n_samples=n_samples,
+        cond_sigma=stats.cond,
     )
 
 
@@ -470,17 +465,8 @@ def asymptotic_report(
     theta0 = np.asarray(theta0, dtype=float)
     stats = second_order_stats(filt, theta0.size)
     star = eta_star(spec, theta0, opts)
-    t1 = hyper_parameter_law(spec, theta0, star, stats.sigma, noise.sigma2)
-    t3 = regularized_error_moments(theta0, t1, stats, noise, n_samples)
-    return AsymptoticReport(
-        eta_star=star,
-        a_b=t1.a_b,
-        b_b=t1.b_b,
-        v_b_h=t1.v_b_h,
-        **vars(t3),
-        n_samples=n_samples,
-        cond_sigma=stats.cond,
-    )
+    law = hyper_parameter_law(spec, theta0, star, stats.sigma, noise.sigma2)
+    return regularized_error_moments(theta0, law, stats, noise, n_samples)
 
 
 def ridge_report(

@@ -239,21 +239,18 @@ def _theta0_from_config(cfg: dict, seed: int) -> np.ndarray:
 
 
 def _optimizer_from_config(cfg: dict) -> OptimizerOptions:
-    known = ("starts", "max_iters", "tol_cost")
     for key in _field(cfg, "optimizer", dict, required=False, default={}):
-        if key not in known:
-            raise ConfigError(f"unknown field: optimizer.{key}")
+        if key != "starts":
+            raise ConfigError(f"field optimizer.{key}: unknown; starts is the only key")
     return OptimizerOptions(
-        starts=_int_at_least(cfg, "optimizer.starts", 1, required=False, default=3),
-        max_iters=_field(cfg, "optimizer.max_iters", int, required=False, default=400),
-        tol_cost=_field(
-            cfg, "optimizer.tol_cost", float, required=False, default=1e-12
-        ),
+        starts=_int_at_least(cfg, "optimizer.starts", 1, required=False, default=3)
     )
 
 
 def _filters_from_config(cfg: dict) -> list[tuple[float, float]]:
     pairs = _field(cfg, "filters", list)
+    if not pairs:
+        raise ConfigError("field filters: expected at least one [a, cu2] pair")
     for i, pair in enumerate(pairs):
         numbers = isinstance(pair, list) and all(_is_finite_number(x) for x in pair)
         if not numbers or len(pair) != 2:
@@ -274,7 +271,8 @@ def cmd_asym(args) -> int:
     filt = _filter_from_config(cfg)
     theta0 = _theta0_from_config(cfg, seed)
     n_samples = _int_at_least(cfg, "N", theta0.size + 1)
-    report = asymptotic_report(kernel, theta0, filt, noise, n_samples)
+    opts = _optimizer_from_config(cfg)
+    report = asymptotic_report(kernel, theta0, filt, noise, n_samples, opts)
     doc = report.to_json_dict()
     out_path = os.path.join(args.out, "asym_report.json")
     _dump_json(out_path, {"header": _header(cfg, seed), "report": doc})
@@ -300,6 +298,13 @@ def cmd_mc(args) -> int:
     if system_type == "explicit":
         theta0 = _finite_list(cfg, "system.theta0")
     n = _int_at_least(cfg, "n", 1)
+    noise = _noise_from_config(cfg)
+    # records draw Gaussian noise, so the theory must assume it too
+    if not math.isclose(noise.fourth_moment, 3.0 * noise.sigma2**2, rel_tol=1e-12):
+        raise ConfigError("field noise.fourth_moment: mc needs 3 * sigma2^2 (Gaussian)")
+    sigma_e2 = _field(cfg, "sigma_e2", float, required=False, default=1.0)
+    if sigma_e2 <= 0.0:
+        raise ConfigError("field sigma_e2: expected > 0")
     try:
         config = ExperimentConfig(
             kernel=_kernel_from_config(cfg),
@@ -307,12 +312,12 @@ def cmd_mc(args) -> int:
             n=n,
             n_samples=_int_at_least(cfg, "N", n + 1),
             filters=_filters_from_config(cfg),
-            noise=_noise_from_config(cfg),
+            noise=noise,
             records=_int_at_least(cfg, "records", 1),
             systems=_int_at_least(cfg, "system.count", 1, required=False, default=1),
             master_seed=seed,
             theta0=theta0,
-            sigma_e2=_field(cfg, "sigma_e2", float, required=False, default=1.0),
+            sigma_e2=sigma_e2,
             optimizer=_optimizer_from_config(cfg),
         )
     except (ValueError, TypeError) as exc:

@@ -141,12 +141,10 @@ class KernelSpec:
 
 @dataclass
 class OptimizerOptions:
-    """Knobs for the box-constrained search; ``starts`` is the number of
+    """The box-constrained search's one setting: ``starts`` is the number of
     best lattice points that the gradient stages polish."""
 
     starts: int = 3
-    max_iters: int = 400
-    tol_cost: float = 1e-12
 
 
 @dataclass
@@ -496,7 +494,7 @@ def _free(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np
     return ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
 
 
-def _newton_polish(eval_internal, x, lo, hi, max_iters=30, grad_tol=1e-9):
+def _newton_polish(eval_internal, x, lo, hi):
     """Projected Newton steps with the analytic Hessian, inside the box.
 
     Coordinates held at a bound stay fixed; the others take a Newton step,
@@ -509,10 +507,10 @@ def _newton_polish(eval_internal, x, lo, hi, max_iters=30, grad_tol=1e-9):
     """
     value, grad, hess = eval_internal(x, True)
     ref = value
-    for _ in range(max_iters):
+    for _ in range(30):
         free = _free(x, grad, lo, hi)
         gnorm = np.linalg.norm(grad[free])
-        if gnorm <= grad_tol or value >= _COST_ON_FAILURE:
+        if gnorm <= 1e-9 or value >= _COST_ON_FAILURE:
             break
         step = np.zeros_like(x)
         try:
@@ -550,8 +548,9 @@ def minimize_box(
 
     The search runs in transformed coordinates.  It evaluates the cost on a
     fixed lattice in one batched call, polishes the ``opts.starts`` best
-    lattice points with analytic-gradient L-BFGS-B and then Newton steps,
-    and keeps the best polished point.  Equal-cost minima are broken towards
+    lattice points with analytic-gradient L-BFGS-B (at most 400 iterations)
+    and then Newton steps, and keeps the best polished point.  Minima whose
+    costs agree to 1e-12 relative count as equal and are broken towards
     the lexicographically smallest transformed point, so results are
     reproducible across platforms and lattice orderings.  Returns
     (eta, value, OptimizerStats); ``converged`` reports whether L-BFGS-B
@@ -596,13 +595,13 @@ def minimize_box(
             jac=True,
             method="L-BFGS-B",
             bounds=list(zip(lo, hi)),
-            options={"maxiter": opts.max_iters, "ftol": 1e-14, "gtol": 1e-10},
+            options={"maxiter": 400, "ftol": 1e-14, "gtol": 1e-10},
         )
         x_pol, value_pol = _newton_polish(eval_internal, np.clip(res.x, lo, hi), lo, hi)
         candidates.append((value_pol, tuple(x_pol), bool(res.success)))
 
     best_value = min(c[0] for c in candidates)
-    slack = opts.tol_cost * (1.0 + abs(best_value))
+    slack = 1e-12 * (1.0 + abs(best_value))
     value, best_x, success = min(
         (c for c in candidates if c[0] <= best_value + slack), key=lambda c: c[1]
     )

@@ -69,7 +69,7 @@ class ExperimentConfig:
                 raise ValueError("explicit system_type requires theta0")
             self.theta0 = np.asarray(self.theta0, dtype=float)
             if self.theta0.size != self.n:
-                raise ValueError("theta0 length must equal n")
+                raise ValueError("system.theta0: length must equal n")
         if self.records < 1 or self.systems < 1:
             raise ValueError("records and systems must be >= 1")
         if self.n_samples <= self.n:
@@ -199,18 +199,17 @@ def experiment_theory(
     for coll_id, (a, cu2) in enumerate(config.filters):
         stats = second_order_stats(_filter_spec(config, a, cu2), config.n)
         for sys_id, system in enumerate(systems):
-            star = stars[sys_id]
-            t1 = hyper_parameter_law(
+            law = hyper_parameter_law(
                 config.kernel,
                 system.theta0,
-                star,
+                stars[sys_id],
                 stats.sigma,
                 config.noise.sigma2,
             )
-            t3 = regularized_error_moments(
-                system.theta0, t1, stats, config.noise, config.n_samples
+            report = regularized_error_moments(
+                system.theta0, law, stats, config.noise, config.n_samples
             )
-            theory[sys_id, coll_id] = CollectionTheory(eta_star=star, amse=t3.amse)
+            theory[sys_id, coll_id] = CollectionTheory(report.eta_star, report.amse)
     return theory
 
 

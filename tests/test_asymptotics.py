@@ -456,6 +456,10 @@ class TestRegularizedErrorMoments:
         np.testing.assert_array_equal(self.t3.v_als_1, v1)
         np.testing.assert_array_equal(self.t3.v_als_2, v2)
 
+    def test_is_the_generic_report(self):
+        report = asymptotic_report(self.spec, self.theta, self.filt, self.noise, 1000)
+        assert self.t3.to_json_dict() == report.to_json_dict()
+
 
 class TestRidgeEquivalence:
     @pytest.mark.parametrize("a", [0.0, 0.5, 0.9])

@@ -133,6 +133,9 @@ class TestAsymCommand:
                 "kernel",
             ),
             ({"kernel": {"family": "ridge", "omega": [[-1.0, 1e9]]}}, "kernel"),
+            # asym reads the optimizer block that mc reads
+            ({"optimizer": {"starts": 0}}, "optimizer.starts"),
+            ({"optimizer": {"restarts": 2}}, "optimizer.restarts"),
         ],
     )
     def test_non_finite_number_is_named(self, tmp_path, capsys, change, path):
@@ -199,11 +202,17 @@ class TestMcCommand:
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "filters[1]" in capsys.readouterr().err
 
-    def test_removed_tol_step_is_config_error(self, tmp_path, capsys):
-        optimizer = {"starts": 4, "tol_step": 1e-10}
+    @pytest.mark.parametrize(
+        "key, value", [("tol_step", 1e-10), ("max_iters", 400), ("tol_cost", -1)]
+    )
+    def test_removed_optimizer_key_is_config_error(self, tmp_path, capsys, key, value):
+        # starts is the search's only setting; the simplex step tolerance, the
+        # L-BFGS-B iteration cap and the tie slack are no longer keys
+        optimizer = {"starts": 4, key: value}
         cfg = write_config(tmp_path, dict(MC_CONFIG, optimizer=optimizer))
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "optimizer.tol_step" in capsys.readouterr().err
+        assert f"field optimizer.{key}:" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
 
     def test_missing_records_field(self, tmp_path, capsys):
         broken = {k: v for k, v in MC_CONFIG.items() if k != "records"}
@@ -229,6 +238,13 @@ class TestMcCommand:
             ({"system": {"type": "explicit", "theta0": [1.0] * 5 + [math.inf]}},
              "system.theta0"),
             ({"kernel": {"family": "tc", "omega": [[1e-9, 1e9], [-0.5, 0.9]]}}, "kernel"),
+            # records draw Gaussian noise, whose fourth moment is 3 sigma2^2
+            ({"noise": {"sigma2": 1.0, "fourth_moment": 30.0}}, "noise.fourth_moment"),
+            ({"noise": {"sigma2": 1.0, "fourth_moment": 1.5}}, "noise.fourth_moment"),
+            ({"sigma_e2": 0.0}, "sigma_e2"),
+            ({"sigma_e2": -1.0}, "sigma_e2"),
+            ({"filters": []}, "filters"),
+            ({"system": {"type": "explicit", "theta0": [1.0] * 5}}, "system.theta0"),
         ],
     )
     def test_invalid_field_is_named(self, tmp_path, capsys, change, path):
@@ -561,3 +577,30 @@ def test_import_defaults_blas_threads_to_one(preset):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.split() == [preset or "1", "1", "1"]
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+def readme_config(heading: str) -> dict:
+    """The first JSON block below ``heading`` in README.md."""
+    with open(README) as handle:
+        text = handle.read()
+    section = text[text.index(f"\n{heading}\n") :]
+    start = section.index("```json\n") + len("```json\n")
+    return json.loads(section[start : section.index("```", start)])
+
+
+@pytest.mark.parametrize(
+    "heading, command, overrides",
+    [
+        ("### `asym` config", "asym", []),
+        ("### `mc` config", "mc", ["records=1", "system.count=1"]),
+    ],
+    ids=["asym", "mc"],
+)
+def test_readme_config_runs(tmp_path, heading, command, overrides):
+    # the documented examples stay accepted as the config rules change
+    cfg = write_config(tmp_path, readme_config(heading))
+    extra = [arg for item in overrides for arg in ("--override", item)]
+    assert main([command, "--config", cfg, "--out", str(tmp_path), *extra]) == 0

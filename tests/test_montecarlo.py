@@ -18,6 +18,7 @@ from firasym import (
     NoiseSpec,
     NotPositiveDefiniteError,
     OptimizerOptions,
+    asymptotic_report,
     compare_amse,
     fit_g,
     run_experiment,
@@ -340,3 +341,22 @@ class TestTheoryPath:
         assert not out.failures
         star = experiment_theory(config)[0, 0].eta_star
         assert star[0] == pytest.approx(float(theta @ theta) / 8)
+
+    def test_theory_is_the_asym_report(self):
+        # mc's limit quantities come from the same pipeline, with the same
+        # search setting, as `asym`'s report
+        config = small_config(
+            kernel=KernelSpec.tc(), systems=2, optimizer=OptimizerOptions(starts=2)
+        )
+        theory = experiment_theory(config)
+        for (sys_id, coll_id), th in theory.items():
+            report = asymptotic_report(
+                config.kernel,
+                montecarlo.make_system(config, sys_id).theta0,
+                montecarlo._filter_spec(config, *config.filters[coll_id]),
+                config.noise,
+                config.n_samples,
+                config.optimizer,
+            )
+            assert th.eta_star.tobytes() == report.eta_star.tobytes()
+            assert th.amse == report.amse
