@@ -408,6 +408,8 @@ def regularized_error_moments(
     order-1/2/3 MSE approximations, next to the hyper-parameter blocks of
     ``law``.  The inverses of P(eta*), a_b and Sigma are read from ``law``
     and ``stats``."""
+    if n_samples < 1:
+        raise ValueError(f"record length must be >= 1, got {n_samples}")
     theta0 = np.asarray(theta0, dtype=float)
     sigma2 = noise.sigma2
     p_inv, s_inv = law.p_inv, stats.sigma_inv
@@ -491,8 +493,8 @@ def ridge_report(
         raise ValueError("closed-form report needs a SecondOrderAR filter")
     single = np.ndim(n_samples) == 0
     lengths = [n_samples] if single else list(n_samples)
-    if not lengths:
-        raise ValueError("n_samples is an empty sequence")
+    if not lengths or min(lengths) < 1:
+        raise ValueError(f"n_samples must be record lengths >= 1, got {n_samples}")
     theta0 = np.asarray(theta0, dtype=float)
     n = theta0.size
     s = float(theta0 @ theta0)

@@ -52,9 +52,11 @@ EXIT_NUMERICAL = 3
 # ------------------------------------------------------------ config plumbing
 
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> tuple[_Config, int]:
+    """The config with its overrides applied, and the seed: ``--seed`` if
+    given, else the config's ``seed`` (default 0), which is read either way."""
     try:
-        with open(path) as handle:
+        with open(args.config) as handle:
             cfg = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
@@ -62,7 +64,27 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    return cfg
+    cfg = _apply_overrides(_Config(cfg), args.override)
+    seed = _field(cfg, "seed", int, required=False, default=0)
+    return cfg, seed if args.seed is None else args.seed
+
+
+class _Config(dict):
+    """A config root that remembers the key paths that ``_field`` found in it."""
+
+    def __init__(self, cfg: dict):
+        super().__init__(cfg)
+        self.read: set[tuple[str, ...]] = set()
+
+    def refuse_unread(self, node: dict | None = None, path=()) -> None:
+        """Exit 2 on the first unread key; objects are walked, lists are leaves."""
+        for key, value in (self if node is None else node).items():
+            here = (*path, key)
+            if here in self.read:
+                continue
+            if not isinstance(value, dict):
+                raise ConfigError(f"field {'.'.join(here)}: not read by this command")
+            self.refuse_unread(value, here)
 
 
 def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
@@ -86,7 +108,8 @@ def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def _field(cfg: dict, path: str, kind, required: bool = True, default=None):
+def _field(cfg: _Config, path: str, kind, required: bool = True, default=None):
+    """The value at dotted ``path``, type-checked as ``kind``; found, it is read."""
     node = cfg
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
@@ -94,6 +117,7 @@ def _field(cfg: dict, path: str, kind, required: bool = True, default=None):
                 raise ConfigError(f"missing field: {path}")
             return default
         node = node[part]
+    cfg.read.add(tuple(path.split(".")))
     if isinstance(node, bool):  # JSON true/false would pass as the int 1/0
         raise ConfigError(f"field {path}: expected {kind.__name__}")
     if kind is float and isinstance(node, int):
@@ -117,13 +141,6 @@ def _finite_list(cfg: dict, path: str) -> np.ndarray:
     if not values or not all(_is_finite_number(x) for x in values):
         raise ConfigError(f"field {path}: expected a flat list of finite numbers")
     return np.array(values, dtype=float)
-
-
-def _int_at_least(cfg: dict, path: str, minimum: int, **kwargs) -> int:
-    value = _field(cfg, path, int, **kwargs)
-    if value < minimum:
-        raise ConfigError(f"field {path}: expected >= {minimum}")
-    return value
 
 
 def _config_hash(cfg: dict) -> str:
@@ -192,44 +209,43 @@ def _dump_json(path: str, payload: dict) -> None:
         handle.write(_json_text(payload) + "\n")
 
 
-def _kernel_from_config(cfg: dict) -> KernelSpec:
+def _build(make, block: str = ""):
+    """``make()``; a library ValueError exits 2, its path led by ``block``."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"field {block + ': ' if block else ''}{exc}") from None
+
+
+def _kernel_from_config(cfg: _Config) -> KernelSpec:
     family = _field(cfg, "kernel.family", str)
     omega = _field(cfg, "kernel.omega", list, required=False)
-    try:
-        return KernelSpec(family, np.array(omega, dtype=float) if omega else None)
-    except ValueError as exc:
-        raise ConfigError(f"field kernel: {exc}") from None
+    return _build(lambda: KernelSpec(family, omega or None), "kernel")
 
 
-def _noise_from_config(cfg: dict) -> NoiseSpec:
+def _noise_from_config(cfg: _Config) -> NoiseSpec:
     sigma2 = _field(cfg, "noise.sigma2", float)
     fourth = _field(cfg, "noise.fourth_moment", float, required=False)
-    try:
-        return NoiseSpec(sigma2=sigma2, fourth_moment=fourth)
-    except ValueError as exc:
-        raise ConfigError(f"field noise: {exc}") from None
+    return _build(lambda: NoiseSpec(sigma2=sigma2, fourth_moment=fourth), "noise")
 
 
-def _filter_from_config(cfg: dict) -> FilterSpec:
+def _filter_from_config(cfg: _Config) -> FilterSpec:
     a = _field(cfg, "filter.a", float)
     cu2 = _field(cfg, "filter.cu2", float)
     sigma_e2 = _field(cfg, "filter.sigma_e2", float, required=False, default=1.0)
     kurt = _field(cfg, "filter.kurtosis_ratio", float, required=False, default=3.0)
-    try:
-        return FilterSpec(
-            kind=SecondOrderAR(a=a, c_u=math.sqrt(cu2)),
-            sigma_e2=sigma_e2,
-            kurtosis_ratio=kurt,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field filter: {exc}") from None
+    return _build(
+        lambda: FilterSpec(SecondOrderAR(a, math.sqrt(cu2)), sigma_e2, kurt), "filter"
+    )
 
 
-def _theta0_from_config(cfg: dict, seed: int) -> np.ndarray:
+def _theta0_from_config(cfg: _Config, seed: int) -> np.ndarray:
     if "theta0" in cfg:
         return _finite_list(cfg, "theta0")
     kind = _field(cfg, "system.type", str)
-    n = _int_at_least(cfg, "system.n", 1)
+    n = _field(cfg, "system.n", int)
+    if n < 1:
+        raise ConfigError("field system.n: expected >= 1")
     rng = derive_stream(seed, _SYSTEM_TAG, 0)
     if kind == "T1":
         return generate_t1(n, rng).theta0
@@ -238,19 +254,13 @@ def _theta0_from_config(cfg: dict, seed: int) -> np.ndarray:
     raise ConfigError("field system.type: expected T1 or T2")
 
 
-def _optimizer_from_config(cfg: dict) -> OptimizerOptions:
-    for key in _field(cfg, "optimizer", dict, required=False, default={}):
-        if key != "starts":
-            raise ConfigError(f"field optimizer.{key}: unknown; starts is the only key")
-    return OptimizerOptions(
-        starts=_int_at_least(cfg, "optimizer.starts", 1, required=False, default=3)
-    )
+def _optimizer_from_config(cfg: _Config) -> OptimizerOptions:
+    starts = _field(cfg, "optimizer.starts", int, required=False, default=3)
+    return _build(lambda: OptimizerOptions(starts=starts))
 
 
-def _filters_from_config(cfg: dict) -> list[tuple[float, float]]:
+def _filters_from_config(cfg: _Config) -> list[tuple[float, float]]:
     pairs = _field(cfg, "filters", list)
-    if not pairs:
-        raise ConfigError("field filters: expected at least one [a, cu2] pair")
     for i, pair in enumerate(pairs):
         numbers = isinstance(pair, list) and all(_is_finite_number(x) for x in pair)
         if not numbers or len(pair) != 2:
@@ -262,16 +272,16 @@ def _filters_from_config(cfg: dict) -> list[tuple[float, float]]:
 
 
 def cmd_asym(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args.override)
-    seed = args.seed if args.seed is not None else _field(
-        cfg, "seed", int, required=False, default=0
-    )
+    cfg, seed = _load_config(args)
     kernel = _kernel_from_config(cfg)
     noise = _noise_from_config(cfg)
     filt = _filter_from_config(cfg)
     theta0 = _theta0_from_config(cfg, seed)
-    n_samples = _int_at_least(cfg, "N", theta0.size + 1)
+    n_samples = _field(cfg, "N", int)
+    if n_samples <= theta0.size:
+        raise ConfigError(f"field N: expected >= {theta0.size + 1}")
     opts = _optimizer_from_config(cfg)
+    cfg.refuse_unread()
     report = asymptotic_report(kernel, theta0, filt, noise, n_samples, opts)
     doc = report.to_json_dict()
     out_path = os.path.join(args.out, "asym_report.json")
@@ -287,41 +297,25 @@ def cmd_asym(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args.override)
-    seed = args.seed if args.seed is not None else _field(
-        cfg, "seed", int, required=False, default=0
-    )
-    system_type = _field(cfg, "system.type", str)
-    if system_type not in ("T1", "T2", "explicit"):
-        raise ConfigError("field system.type: expected T1, T2 or explicit")
-    theta0 = None
-    if system_type == "explicit":
-        theta0 = _finite_list(cfg, "system.theta0")
-    n = _int_at_least(cfg, "n", 1)
-    noise = _noise_from_config(cfg)
-    # records draw Gaussian noise, so the theory must assume it too
-    if not math.isclose(noise.fourth_moment, 3.0 * noise.sigma2**2, rel_tol=1e-12):
-        raise ConfigError("field noise.fourth_moment: mc needs 3 * sigma2^2 (Gaussian)")
-    sigma_e2 = _field(cfg, "sigma_e2", float, required=False, default=1.0)
-    if sigma_e2 <= 0.0:
-        raise ConfigError("field sigma_e2: expected > 0")
-    try:
-        config = ExperimentConfig(
+    cfg, seed = _load_config(args)
+    kind = _field(cfg, "system.type", str)
+    config = _build(
+        lambda: ExperimentConfig(
             kernel=_kernel_from_config(cfg),
-            system_type=system_type,
-            n=n,
-            n_samples=_int_at_least(cfg, "N", n + 1),
+            system_type=kind,
+            n=_field(cfg, "n", int),
+            n_samples=_field(cfg, "N", int),
             filters=_filters_from_config(cfg),
-            noise=noise,
-            records=_int_at_least(cfg, "records", 1),
-            systems=_int_at_least(cfg, "system.count", 1, required=False, default=1),
+            noise=_noise_from_config(cfg),
+            records=_field(cfg, "records", int),
+            systems=_field(cfg, "system.count", int, required=False, default=1),
             master_seed=seed,
-            theta0=theta0,
-            sigma_e2=sigma_e2,
+            theta0=_finite_list(cfg, "system.theta0") if kind == "explicit" else None,
+            sigma_e2=_field(cfg, "sigma_e2", float, required=False, default=1.0),
             optimizer=_optimizer_from_config(cfg),
         )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
+    )
+    cfg.refuse_unread()
     outcome = run_experiment(config, threads=args.threads)
     header = _header(cfg, seed)
     csv_path = os.path.join(args.out, "records.csv")
@@ -481,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="K=V",
                 help="override a config field (dotted path), repeatable",
             )
-        p.add_argument("--seed", type=int, default=None, help="master seed")
+        seed = None if needs_config else 0  # asym and mc fall back to the config's
+        p.add_argument("--seed", type=int, default=seed, help="master seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--strict",
@@ -524,8 +519,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("table1", "sweep") and min(np.atleast_1d(args.N)) <= args.n:
         parser.error(f"argument --N: must exceed --n ({args.n})")
-    if args.seed is None:
-        args.seed = 0 if args.command in ("table1", "sweep") else None
     os.makedirs(args.out, exist_ok=True)
     # --strict escalates the package's numerical warnings and numpy's
     # floating-point errors (underflow stays silent: it is routine in kernels)

@@ -146,6 +146,10 @@ class OptimizerOptions:
 
     starts: int = 3
 
+    def __post_init__(self) -> None:
+        if self.starts < 1:
+            raise ValueError("optimizer.starts: expected >= 1")
+
 
 @dataclass
 class OptimizerStats:

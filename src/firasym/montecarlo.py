@@ -62,21 +62,29 @@ class ExperimentConfig:
     optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
 
     def __post_init__(self) -> None:
+        # every run rule; each message starts with the rule's config path
         if self.system_type not in ("T1", "T2", "explicit"):
-            raise ValueError("system_type must be T1, T2 or explicit")
-        if self.system_type == "explicit":
-            if self.theta0 is None:
-                raise ValueError("explicit system_type requires theta0")
-            self.theta0 = np.asarray(self.theta0, dtype=float)
-            if self.theta0.size != self.n:
-                raise ValueError("system.theta0: length must equal n")
-        if self.records < 1 or self.systems < 1:
-            raise ValueError("records and systems must be >= 1")
+            raise ValueError("system.type: expected T1, T2 or explicit")
+        counts = {"n": self.n, "records": self.records, "system.count": self.systems}
+        for path, count in counts.items():
+            if count < 1:
+                raise ValueError(f"{path}: expected >= 1")
         if self.n_samples <= self.n:
-            raise ValueError("n_samples must exceed n")
+            raise ValueError(f"N: expected > n ({self.n})")
+        if self.system_type == "explicit":
+            self.theta0 = np.asarray(self.theta0, dtype=float)
+            if self.theta0.shape != (self.n,) or not np.isfinite(self.theta0).all():
+                raise ValueError("system.theta0: expected n finite coefficients")
+        noise = self.noise  # records draw Gaussian noise, so the theory must too
+        if not math.isclose(noise.fourth_moment, 3.0 * noise.sigma2**2, rel_tol=1e-12):
+            raise ValueError("noise.fourth_moment: expected 3 * sigma2^2 (Gaussian)")
+        if not 0.0 < self.sigma_e2 < math.inf:
+            raise ValueError("sigma_e2: expected > 0 and finite")
+        if not self.filters:
+            raise ValueError("filters: expected at least one (a, cu2) pair")
         self.filters = [(float(a), float(cu2)) for a, cu2 in self.filters]
         for i, (a, cu2) in enumerate(self.filters):
-            if not 0.0 <= a < 1.0 or cu2 <= 0.0:
+            if not 0.0 <= a < 1.0 or not 0.0 < cu2 < math.inf:
                 raise ValueError(
                     f"filters[{i}]: invalid filter point (a={a}, cu2={cu2})"
                 )

@@ -148,7 +148,10 @@ class Dataset:
         """Least-squares coefficients via an orthogonal factorization of Phi."""
         theta, _, rank, _ = np.linalg.lstsq(self.phi, self.y, rcond=None)
         if rank < self.order:
-            raise RankDeficientError("regression matrix is rank deficient")
+            raise RankDeficientError(
+                f"regression matrix is rank deficient (N={self.n_samples},"
+                f" n={self.order})"
+            )
         return theta
 
 
@@ -247,26 +250,16 @@ def build_dataset(
 ) -> Dataset:
     """Assemble the lagged regression matrix and simulate the output.
 
-    ``u`` must cover t = 1-n ... N-1 (length N + n - 1).  Raises
-    RankDeficientError when the regression matrix loses full column rank;
-    the caller is expected to retry with a fresh seed.
+    ``u`` must cover t = 1-n ... N-1 (length N + n - 1).  The rank of the
+    regression matrix is checked by ``Dataset.theta_ls``, which a fit needs.
     """
-    n = system.order
-    phi = lag_matrix(u, n)
+    phi = lag_matrix(u, system.order)
     n_samples = phi.shape[0]
     if noise_free:
         v = np.zeros(n_samples)
     else:
         v = rng.standard_normal(n_samples) * math.sqrt(noise.sigma2)
-    y = phi @ system.theta0 + v
-    data = Dataset(phi=phi, y=y, v=v, system=system)
-    try:
-        np.linalg.cholesky(data.gram)
-    except np.linalg.LinAlgError:
-        raise RankDeficientError(
-            f"regression matrix is rank deficient (N={n_samples}, n={n})"
-        ) from None
-    return data
+    return Dataset(phi=phi, y=phi @ system.theta0 + v, v=v, system=system)
 
 
 def generate_t1(n: int, rng: RandomStream) -> FirSystem:

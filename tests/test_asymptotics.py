@@ -460,6 +460,21 @@ class TestRegularizedErrorMoments:
         report = asymptotic_report(self.spec, self.theta, self.filt, self.noise, 1000)
         assert self.t3.to_json_dict() == report.to_json_dict()
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_record_length_below_one_is_refused(self, n_samples):
+        # every report divides by the record length or by its square root
+        args = (self.theta, self.filt, self.noise)
+        reports = [
+            lambda: asymptotic_report(self.spec, *args, n_samples),
+            lambda: ridge_report(*args, n_samples),
+            lambda: ridge_report(*args, [1000, n_samples]),
+        ]
+        for report in reports:
+            with pytest.raises(ValueError, match=f"got .*{n_samples}"):
+                report()
+        with pytest.raises(ValueError, match=r"got \[\]"):
+            ridge_report(*args, [])
+
 
 class TestRidgeEquivalence:
     @pytest.mark.parametrize("a", [0.0, 0.5, 0.9])

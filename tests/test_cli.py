@@ -115,6 +115,16 @@ class TestAsymCommand:
         cfg = write_config(tmp_path, ASYM_CONFIG)
         assert main(["asym", "--config", cfg, "--override", "oops"]) == 2
 
+    @pytest.mark.parametrize("command, config", [("asym", ASYM_CONFIG), ("mc", MC_CONFIG)])
+    def test_misspelled_override_is_named(self, tmp_path, capsys, command, config):
+        # an override adds the key it names, so a misspelled path is refused
+        # like any other key that the command does not read
+        cfg = write_config(tmp_path, config)
+        args = [command, "--config", cfg, "--override", "noise.sigam2=2.0"]
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert "field noise.sigam2:" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
     @pytest.mark.parametrize(
         "change, path",
         [
@@ -136,12 +146,18 @@ class TestAsymCommand:
             # asym reads the optimizer block that mc reads
             ({"optimizer": {"starts": 0}}, "optimizer.starts"),
             ({"optimizer": {"restarts": 2}}, "optimizer.restarts"),
+            # a key that asym does not read: a misspelling, an mc-only key, or
+            # a generator next to an explicit truth
+            ({"filter": {"a": 0.0, "cu2": 4.0, "kurtosis": 9}}, "filter.kurtosis"),
+            ({"kernel": {"family": "ridge", "omgea": [[1e-3, 1e3]]}}, "kernel.omgea"),
+            ({"records": 4}, "records"),
+            ({"system": {"type": "T1", "n": 4}}, "system.type"),
         ],
     )
     def test_non_finite_number_is_named(self, tmp_path, capsys, change, path):
         # json reads NaN and Infinity; a report built from them is not JSON.
         # A kernel box row is checked against its coordinate's domain, which
-        # also rejects NaN and inf
+        # also rejects NaN and inf.  Every key must be one the command reads
         cfg = write_config(tmp_path, dict(ASYM_CONFIG, **change))
         assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"field {path}:" in capsys.readouterr().err
@@ -197,6 +213,38 @@ class TestMcCommand:
             out_b / "aggregates.json"
         )
 
+    def test_flag_seed_and_config_seed(self, tmp_path, capsys):
+        # --seed wins over the config's seed, which is still read and checked
+        cfg = write_config(tmp_path, MC_CONFIG)  # "seed": 7
+        runs = {"config": [], "flag": ["--seed", "7"], "other": ["--seed", "8"]}
+        for name, extra in runs.items():
+            (tmp_path / name).mkdir()
+            args = ["mc", "--config", cfg, "--out", str(tmp_path / name), *extra]
+            assert main(args) == 0
+        for artifact in ("records.csv", "aggregates.json"):
+            config_run = read_bytes(tmp_path / "config" / artifact)
+            assert read_bytes(tmp_path / "flag" / artifact) == config_run
+            assert read_bytes(tmp_path / "other" / artifact) != config_run
+        bad = write_config(tmp_path, dict(MC_CONFIG, seed="7"), "bad.json")
+        assert main(["mc", "--config", bad, "--seed", "7", "--out", str(tmp_path)]) == 2
+        assert "field seed:" in capsys.readouterr().err
+
+    def test_rank_deficient_record_is_excluded(self, tmp_path, monkeypatch):
+        # a zero input makes Phi'Phi singular: the least-squares rank test
+        # refuses the record, which is reported and counted, not averaged in
+        def zero_input(filt, n, n_samples, rng):
+            return np.zeros(n_samples + n - 1)
+
+        monkeypatch.setattr(montecarlo, "generate_input", zero_input)
+        config = dict(MC_CONFIG, records=1, system={"type": "T1", "count": 1})
+        cfg = write_config(tmp_path, config)
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 3
+        with open(tmp_path / "aggregates.json") as handle:
+            doc = json.load(handle)
+        assert len(doc["failures"]) == doc["excluded_records"] == 1
+        assert "rank deficient (N=80, n=6)" in doc["failures"][0]
+        assert doc["collections"][0]["excluded"] == 1
+
     def test_duplicate_filters_are_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(MC_CONFIG, filters=[[0.2, 0.5], [0.2, 0.5]]))
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -245,6 +293,11 @@ class TestMcCommand:
             ({"sigma_e2": -1.0}, "sigma_e2"),
             ({"filters": []}, "filters"),
             ({"system": {"type": "explicit", "theta0": [1.0] * 5}}, "system.theta0"),
+            # misspelled keys are refused, not left at their defaults
+            ({"recrods": 4}, "recrods"),
+            ({"system": {"type": "T1", "cuont": 50}}, "system.cuont"),
+            ({"noise": {"sigma2": 1.0, "fourth_momnet": 9.0}}, "noise.fourth_momnet"),
+            ({"optimizer": {"starts": 0}}, "optimizer.starts"),
         ],
     )
     def test_invalid_field_is_named(self, tmp_path, capsys, change, path):

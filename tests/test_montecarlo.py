@@ -163,6 +163,46 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"filters\[2\]: duplicate of filters\[0\]"):
             small_config(filters=[(0.1, 0.5), (0.5, 0.5), (0.1, 0.5)])
 
+    @pytest.mark.parametrize(
+        "change, path",
+        [
+            ({"system_type": "T3"}, "system.type"),
+            ({"system_type": "explicit"}, "system.theta0"),
+            ({"system_type": "explicit", "theta0": np.ones(5)}, "system.theta0"),
+            ({"system_type": "explicit", "theta0": np.ones((2, 4))}, "system.theta0"),
+            ({"system_type": "explicit", "theta0": [1.0] * 7 + [math.nan]}, "system.theta0"),
+            ({"n": 0}, "n"),
+            ({"records": 0}, "records"),
+            ({"systems": 0}, "system.count"),
+            ({"n_samples": 8}, "N"),
+            # the records draw Gaussian noise
+            ({"noise": NoiseSpec(1.0, fourth_moment=30.0)}, "noise.fourth_moment"),
+            ({"noise": NoiseSpec(2.0, fourth_moment=12.0 + 1e-9)}, "noise.fourth_moment"),
+            ({"sigma_e2": 0.0}, "sigma_e2"),
+            ({"sigma_e2": -1.0}, "sigma_e2"),
+            ({"sigma_e2": math.nan}, "sigma_e2"),
+            ({"sigma_e2": math.inf}, "sigma_e2"),
+            ({"filters": []}, "filters"),
+            ({"filters": [(0.1, 0.5), (1.0, 0.5)]}, "filters[1]"),
+            ({"filters": [(0.1, 0.0)]}, "filters[0]"),
+            ({"filters": [(0.1, math.inf)]}, "filters[0]"),
+        ],
+    )
+    def test_each_run_rule_names_its_path(self, change, path):
+        # ExperimentConfig holds every mc run rule, for library callers too;
+        # the CLI prints the message after "field "
+        with pytest.raises(ValueError) as info:
+            small_config(**change)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_gaussian_fourth_moment_is_accepted(self):
+        noise = NoiseSpec(0.1, fourth_moment=3.0 * 0.1**2)
+        assert small_config(noise=noise).noise.fourth_moment == noise.fourth_moment
+
+    def test_optimizer_needs_a_start(self):
+        with pytest.raises(ValueError, match=r"^optimizer\.starts: "):
+            OptimizerOptions(starts=0)
+
     def test_smse_matches_record_mean(self):
         config = small_config()
         out = run_experiment(config)
