@@ -11,7 +11,10 @@ eta-independent constant, so both have the same minimizer.  The search runs
 in transformed coordinates (log for positive parameters, logit for decay
 rates, atanh for correlations): the cost is evaluated on a fixed lattice in
 one batched factorization, and the best lattice points are polished with
-analytic-gradient L-BFGS-B and analytic-Hessian Newton steps.
+analytic-gradient L-BFGS-B and analytic-Hessian Newton steps.  A best
+point that a lattice neighbour outranks lies in a valley already polished,
+so it is polished only after a start that fell short of first-order
+optimality.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.ndimage import minimum_filter
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
@@ -142,11 +146,16 @@ class KernelSpec:
 @dataclass
 class OptimizerOptions:
     """The box-constrained search's one setting: ``starts`` is the number of
-    best lattice points that the gradient stages polish."""
+    best lattice points considered.  The gradient stages polish each of
+    them, except that one a lattice neighbour outranks is polished only
+    after a start that fell short of first-order optimality."""
 
     starts: int = 3
 
     def __post_init__(self) -> None:
+        if isinstance(self.starts, bool) or not isinstance(self.starts, (int, np.integer)):
+            raise ValueError(f"optimizer.starts: expected an integer, got {self.starts!r}")
+        self.starts = int(self.starts)
         if self.starts < 1:
             raise ValueError("optimizer.starts: expected >= 1")
 
@@ -507,7 +516,8 @@ def _newton_polish(eval_internal, x, lo, hi):
     its relative floor, which can leave a gradient around 1e-6 (more along
     a long curved valley); this drives the projected gradient further down
     so returned minima satisfy tight first-order optimality.  Returns
-    (x, cost at x).
+    (x, cost at x, projected-gradient norm at x); the norm is inf when
+    every evaluation failed.
     """
     value, grad, hess = eval_internal(x, True)
     ref = value
@@ -538,7 +548,9 @@ def _newton_polish(eval_internal, x, lo, hi):
                 break
         else:
             break
-    return x, value
+    if value >= _COST_ON_FAILURE:
+        return x, value, math.inf
+    return x, value, float(np.linalg.norm(grad[_free(x, grad, lo, hi)]))
 
 
 def minimize_box(
@@ -551,10 +563,16 @@ def minimize_box(
     the kernel box.
 
     The search runs in transformed coordinates.  It evaluates the cost on a
-    fixed lattice in one batched call, polishes the ``opts.starts`` best
-    lattice points with analytic-gradient L-BFGS-B (at most 400 iterations)
-    and then Newton steps, and keeps the best polished point.  Minima whose
-    costs agree to 1e-12 relative count as equal and are broken towards
+    fixed lattice in one batched call and walks the ``opts.starts`` best
+    lattice points in rank order.  Each is polished with analytic-gradient
+    L-BFGS-B (at most 400 iterations) and then Newton steps, except a point
+    that a lattice neighbour (diagonals included) outranks while every start
+    polished so far ended first-order optimal: the projected gradient at
+    most 1e-6 (1 + |cost|).  Following better-ranked neighbours from such a
+    point leads to a valley bottom among the best points, which was
+    polished, so the point would descend into that valley again.  The best
+    lattice point is always polished.  The best polished point wins; minima
+    whose costs agree to 1e-12 relative count as equal and are broken towards
     the lexicographically smallest transformed point, so results are
     reproducible across platforms and lattice orderings.  Returns
     (eta, value, OptimizerStats); ``converged`` reports whether L-BFGS-B
@@ -590,19 +608,30 @@ def minimize_box(
     costs = _reduced_cost_batch(_from_internal(spec, lattice), theta, ridge_term, spec)
     # cheapest first, ties towards the lexicographically smallest point
     ranked = np.lexsort(tuple(lattice.T[::-1]) + (costs,))
+    # valley bottoms: no lattice neighbour ranks ahead of the point
+    rank = np.empty(ranked.size, dtype=int)
+    rank[ranked] = np.arange(ranked.size)
+    rank = rank.reshape((_SCAN_POINTS[p],) * p)
+    bottom = (rank == minimum_filter(rank, size=3, mode="nearest")).ravel()
 
     candidates: list[tuple[float, tuple[float, ...], bool]] = []
-    for x0 in lattice[ranked[: opts.starts]]:
+    all_optimal = True
+    for i in ranked[: opts.starts]:
+        if all_optimal and not bottom[i]:
+            continue
         res = minimize(
             eval_internal,
-            x0,
+            lattice[i],
             jac=True,
             method="L-BFGS-B",
             bounds=list(zip(lo, hi)),
             options={"maxiter": 400, "ftol": 1e-14, "gtol": 1e-10},
         )
-        x_pol, value_pol = _newton_polish(eval_internal, np.clip(res.x, lo, hi), lo, hi)
+        x_pol, value_pol, gnorm = _newton_polish(
+            eval_internal, np.clip(res.x, lo, hi), lo, hi
+        )
         candidates.append((value_pol, tuple(x_pol), bool(res.success)))
+        all_optimal = all_optimal and gnorm <= 1e-6 * (1.0 + abs(value_pol))
 
     best_value = min(c[0] for c in candidates)
     slack = 1e-12 * (1.0 + abs(best_value))

@@ -43,8 +43,8 @@ class SecondOrderAR:
     def __post_init__(self) -> None:
         if not 0.0 <= self.a < 1.0:
             raise ValueError(f"pole parameter a must be in [0, 1), got {self.a}")
-        if self.c_u == 0.0:
-            raise ValueError("c_u must be nonzero")
+        if self.c_u == 0.0 or not math.isfinite(self.c_u):
+            raise ValueError(f"c_u must be finite and nonzero, got {self.c_u}")
 
 
 @dataclass
@@ -89,12 +89,15 @@ class NoiseSpec:
     fourth_moment: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
+        # written so that NaN fails each comparison
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if self.fourth_moment is None:
             self.fourth_moment = 3.0 * self.sigma2**2
-        if self.fourth_moment < self.sigma2**2:
-            raise ValueError("fourth_moment must be >= sigma2^2")
+        if not self.sigma2**2 <= self.fourth_moment < math.inf:
+            raise ValueError(
+                f"fourth_moment must be finite and >= sigma2^2, got {self.fourth_moment}"
+            )
 
 
 @dataclass

@@ -203,6 +203,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"^optimizer\.starts: "):
             OptimizerOptions(starts=0)
 
+    @pytest.mark.parametrize("starts", [2.5, 3.0, True, "3", None])
+    def test_optimizer_starts_must_be_an_integer(self, starts):
+        with pytest.raises(ValueError, match=r"^optimizer\.starts: "):
+            OptimizerOptions(starts=starts)
+
+    def test_optimizer_starts_takes_a_numpy_integer(self):
+        assert OptimizerOptions(starts=np.int64(2)).starts == 2
+
     def test_smse_matches_record_mean(self):
         config = small_config()
         out = run_experiment(config)

@@ -227,6 +227,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseSpec(sigma2=1.0, fourth_moment=0.5)
 
+    @pytest.mark.parametrize(
+        "sigma2, fourth_moment",
+        [
+            (math.inf, None),
+            (math.nan, None),
+            (-math.inf, None),
+            (1.0, math.nan),
+            (1.0, math.inf),
+            (math.nan, 3.0),
+        ],
+    )
+    def test_non_finite_noise_rejected(self, sigma2, fourth_moment):
+        # NaN fails every comparison, so a check written as "refuse when
+        # below the bound" lets it through
+        with pytest.raises(ValueError):
+            NoiseSpec(sigma2=sigma2, fourth_moment=fourth_moment)
+
+    @pytest.mark.parametrize("c_u", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_filter_gain_rejected(self, c_u):
+        with pytest.raises(ValueError, match="c_u"):
+            SecondOrderAR(a=0.5, c_u=c_u)
+
     def test_default_fourth_moment_is_gaussian(self):
         assert NoiseSpec(sigma2=2.0).fourth_moment == pytest.approx(12.0)
 
