@@ -6,7 +6,8 @@ covariance Sigma, the fourth-moment matrix of the scaled Gram deviation
 its curvature (a_b) and sensitivity (b_b) blocks, the limiting covariance
 of the hyper-parameter estimate (v_b_h), the second- and third-order
 covariance blocks of the coefficient estimates, and the induced
-mean-square-error approximations.
+mean-square-error approximations, derived at any record length N from the
+blocks that do not depend on N.
 Matching per-record expansion terms are provided so the algebraic
 decompositions can be checked on simulated data.
 """
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -80,9 +81,13 @@ class HyperParameterLaw:
     a_inv: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class AsymptoticReport:
-    """Every limit quantity for one (kernel, truth, filter, noise, N) tuple."""
+    """Every limit quantity for one (kernel, truth, filter, noise) tuple at
+    record length ``n_samples``.  The other fields do not depend on N; the
+    terms that do (e_b_ar, v_als, v_b_ar and the order-1/2/3 MSE
+    approximations amse) are derived from them here alone, so
+    ``dataclasses.replace(report, n_samples=M)`` is the report at M."""
 
     eta_star: np.ndarray
     a_b: np.ndarray
@@ -91,15 +96,42 @@ class AsymptoticReport:
     v_als_1: np.ndarray
     v_als_2: np.ndarray
     c_b: np.ndarray
-    e_b_ar: np.ndarray
+    vartheta_b2: np.ndarray
     v_b3_11: np.ndarray
     v_b3_12: np.ndarray
     v_b3_13: np.ndarray
     v_b3_2: np.ndarray
-    v_b_ar: np.ndarray
-    amse: tuple[float, float, float]
     n_samples: int
     cond_sigma: float
+
+    def __post_init__(self) -> None:
+        # every derived term divides by N or by its square root
+        if self.n_samples < 1:
+            raise ValueError(f"record length must be >= 1, got {self.n_samples}")
+
+    @cached_property
+    def e_b_ar(self) -> np.ndarray:
+        return self.vartheta_b2 / math.sqrt(self.n_samples)
+
+    @cached_property
+    def v_als(self) -> np.ndarray:
+        return self.v_als_1 + self.v_als_2 / self.n_samples
+
+    @cached_property
+    def v_b_ar(self) -> np.ndarray:
+        v_b3_1 = self.v_b3_11 + self.v_b3_12 + self.v_b3_13
+        pair, n_samples = self.v_b3_2 + self.v_b3_2.T, self.n_samples
+        return self.v_als + v_b3_1 / n_samples**2 + pair / n_samples
+
+    @cached_property
+    def amse(self) -> tuple[float, float, float]:
+        n_samples = self.n_samples
+        bias_sq = float(self.e_b_ar @ self.e_b_ar)
+        return (
+            float(np.trace(self.v_als_1)) / n_samples,
+            (float(np.trace(self.v_als)) + bias_sq) / n_samples,
+            (float(np.trace(self.v_b_ar)) + bias_sq) / n_samples,
+        )
 
     def summary(self) -> dict[str, float]:
         """The scalar summaries of the report, without its matrices."""
@@ -114,7 +146,9 @@ class AsymptoticReport:
 
     def to_json_dict(self) -> dict:
         """JSON-ready dictionary; matrices are row-major nested lists."""
-        doc = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
+        names = [f.name for f in fields(self) if f.name != "vartheta_b2"]
+        names += ["e_b_ar", "v_b_ar", "amse"]
+        doc = {name: np.asarray(getattr(self, name)).tolist() for name in names}
         doc.update(self.summary())
         return doc
 
@@ -327,7 +361,7 @@ def hyper_parameter_law(
     spec: KernelSpec,
     theta0: np.ndarray,
     eta_star_value: np.ndarray,
-    sigma: np.ndarray,
+    sigma_inv: np.ndarray,
     sigma2: float,
 ) -> HyperParameterLaw:
     """Blocks of the limiting law of the scaled hyper-parameter error.
@@ -336,7 +370,7 @@ def hyper_parameter_law(
     cost's analytic Hessian with a zero noise term), b_b stacks the rows
     theta0' d(P^-1)/d(eta_k) = -(dP_k P^-1 theta0)' P^-1, and
 
-        v_b_h = 4 sigma2 a_b^-1 b_b Sigma^-1 b_b' a_b^-1.
+        v_b_h = 4 sigma2 a_b^-1 b_b Sigma^-1 b_b' a_b^-1,  Sigma^-1 = sigma_inv.
     """
     theta0 = np.asarray(theta0, dtype=float)
     P, dP = kernel_matrix(spec, eta_star_value, theta0.size, order=1)
@@ -345,7 +379,7 @@ def hyper_parameter_law(
     b_b = -(dP @ (p_inv @ theta0)) @ p_inv
     a_inv = _robust_inverse(a_b, "curvature matrix")
     half = a_inv @ b_b  # p x n
-    v_b_h = 4.0 * sigma2 * half @ np.linalg.solve(sigma, half.T)
+    v_b_h = 4.0 * sigma2 * half @ sigma_inv @ half.T
     return HyperParameterLaw(
         eta_star=eta_star_value,
         a_b=a_b,
@@ -381,19 +415,18 @@ def _rank1_gram_contraction(
 
 
 def ls_error_covariances(
-    stats: SecondOrderStats, sigma2: float, n_samples: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    stats: SecondOrderStats, sigma2: float
+) -> tuple[np.ndarray, np.ndarray]:
     """First- and second-order covariance of the scaled LS error.
 
-    Returns (v1, v2, v1 + v2 / N) with v1 = sigma2 Sigma^-1 and
+    Returns (v1, v2) with v1 = sigma2 Sigma^-1 and
     v2 = sigma2 * unvec[(Sigma^-1 kron Sigma^-1) C vec(Sigma^-1)], with C
-    applied from its lag table ``stats.c_gamma``.
+    applied from its lag table ``stats.c_gamma``; v_als = v1 + v2 / N.
     """
     s_inv = stats.sigma_inv
     v1 = sigma2 * s_inv
     v2 = sigma2 * s_inv @ gram_contraction(stats.c_gamma, s_inv) @ s_inv
-    v2 = _sym(v2)
-    return v1, v2, v1 + v2 / n_samples
+    return v1, _sym(v2)
 
 
 def regularized_error_moments(
@@ -403,37 +436,17 @@ def regularized_error_moments(
     noise: NoiseSpec,
     n_samples: int,
 ) -> AsymptoticReport:
-    """The report at ``law``'s eta_star: the mean and covariance blocks of
-    the third-order law of the scaled regularized-estimate error and the
-    order-1/2/3 MSE approximations, next to the hyper-parameter blocks of
+    """The report at ``law``'s eta_star and record length ``n_samples``: the
+    N-independent mean and covariance blocks of the third-order law of the
+    scaled regularized-estimate error, next to the hyper-parameter blocks of
     ``law``.  The inverses of P(eta*), a_b and Sigma are read from ``law``
     and ``stats``."""
-    if n_samples < 1:
-        raise ValueError(f"record length must be >= 1, got {n_samples}")
     theta0 = np.asarray(theta0, dtype=float)
     sigma2 = noise.sigma2
     p_inv, s_inv = law.p_inv, stats.sigma_inv
     c_b = _sym(-2.0 * law.b_b.T @ law.a_inv @ law.b_b + p_inv)
-
     w = s_inv @ (p_inv @ theta0)
-    vartheta_b2 = -sigma2 * w
-    e_b_ar = vartheta_b2 / math.sqrt(n_samples)
-
-    v_b3_11 = _sym(sigma2**3 * s_inv @ c_b @ s_inv @ c_b @ s_inv)
-    v_b3_12 = _rank1_gram_contraction(stats.c_gamma, s_inv, p_inv, theta0, sigma2**2)
-    v_b3_13 = (noise.fourth_moment - sigma2**2) * np.outer(w, w)
-    v_b3_2 = _sym(-(sigma2**2) * s_inv @ c_b @ s_inv)
-
-    v1, v2, v_als = ls_error_covariances(stats, sigma2, n_samples)
-    v_b3_1 = v_b3_11 + v_b3_12 + v_b3_13
-    v_b_ar = v_als + v_b3_1 / n_samples**2 + (v_b3_2 + v_b3_2.T) / n_samples
-
-    bias_sq = float(e_b_ar @ e_b_ar)
-    amse = (
-        float(np.trace(v1)) / n_samples,
-        (float(np.trace(v_als)) + bias_sq) / n_samples,
-        (float(np.trace(v_b_ar)) + bias_sq) / n_samples,
-    )
+    v1, v2 = ls_error_covariances(stats, sigma2)
     return AsymptoticReport(
         eta_star=law.eta_star,
         a_b=law.a_b,
@@ -442,13 +455,11 @@ def regularized_error_moments(
         v_als_1=v1,
         v_als_2=v2,
         c_b=c_b,
-        e_b_ar=e_b_ar,
-        v_b3_11=v_b3_11,
-        v_b3_12=v_b3_12,
-        v_b3_13=v_b3_13,
-        v_b3_2=v_b3_2,
-        v_b_ar=v_b_ar,
-        amse=amse,
+        vartheta_b2=-sigma2 * w,
+        v_b3_11=_sym(sigma2**3 * s_inv @ c_b @ s_inv @ c_b @ s_inv),
+        v_b3_12=_rank1_gram_contraction(stats.c_gamma, s_inv, p_inv, theta0, sigma2**2),
+        v_b3_13=(noise.fourth_moment - sigma2**2) * np.outer(w, w),
+        v_b3_2=_sym(-(sigma2**2) * s_inv @ c_b @ s_inv),
         n_samples=n_samples,
         cond_sigma=stats.cond,
     )
@@ -467,7 +478,7 @@ def asymptotic_report(
     theta0 = np.asarray(theta0, dtype=float)
     stats = second_order_stats(filt, theta0.size)
     star = eta_star(spec, theta0, opts)
-    law = hyper_parameter_law(spec, theta0, star, stats.sigma, noise.sigma2)
+    law = hyper_parameter_law(spec, theta0, star, stats.sigma_inv, noise.sigma2)
     return regularized_error_moments(theta0, law, stats, noise, n_samples)
 
 
@@ -475,26 +486,20 @@ def ridge_report(
     theta0: np.ndarray,
     filt: FilterSpec,
     noise: NoiseSpec,
-    n_samples: int | Sequence[int],
+    n_samples: int,
     stats: SecondOrderStats | None = None,
-) -> AsymptoticReport | list[AsymptoticReport]:
+) -> AsymptoticReport:
     """Fully closed-form report for the ridge kernel (no optimizer).
 
     Requires a double-pole (or white-noise) input filter so that Sigma and
     the Gram fourth moments are available in closed form.  ``stats`` may
     carry precomputed input statistics when sweeping many truths over the
-    same filter.  ``n_samples`` is one record length, which gives one
-    report, or a sequence of them, which gives a list of reports in the
-    same order; the blocks that do not depend on N (among them the
-    long-double contraction of ``v_b3_12``) are then computed once and
-    shared by every report.
+    same filter.  The report holds only N-independent blocks, so the report
+    at another record length is ``dataclasses.replace(report, n_samples=M)``,
+    without recomputing them.
     """
     if not isinstance(filt.kind, SecondOrderAR):
         raise ValueError("closed-form report needs a SecondOrderAR filter")
-    single = np.ndim(n_samples) == 0
-    lengths = [n_samples] if single else list(n_samples)
-    if not lengths or min(lengths) < 1:
-        raise ValueError(f"n_samples must be record lengths >= 1, got {n_samples}")
     theta0 = np.asarray(theta0, dtype=float)
     n = theta0.size
     s = float(theta0 @ theta0)
@@ -505,13 +510,7 @@ def ridge_report(
         stats = second_order_stats(filt, n)
     s_inv = stats.sigma_inv
     st = s_inv @ theta0
-
-    star = np.array([s / n])
-    a_b = np.array([[n**3 / s**2]])
-    b_b = -(n**2 / s**2) * theta0[None, :]
-    v_b_h = np.array([[4.0 * sigma2 / n**2 * float(theta0 @ st)]])
-
-    v1, v2, _ = ls_error_covariances(stats, sigma2, lengths[0])
+    v1, v2 = ls_error_covariances(stats, sigma2)
 
     c_b = (n / s) * np.eye(n) - (2.0 * n / s**2) * np.outer(theta0, theta0)
 
@@ -527,41 +526,22 @@ def ridge_report(
     )
     v_b3_13 = (n**2 * (noise.fourth_moment - sigma2**2) / s**2) * outer_st
     v_b3_2 = (2.0 * n * sigma2**2 / s**2) * outer_st - (n * sigma2**2 / s) * s_inv2
-
-    v_b3_1 = v_b3_11 + v_b3_12 + v_b3_13
-    v_b3_2_pair = v_b3_2 + v_b3_2.T
-    shared = dict(
-        eta_star=star,
-        a_b=a_b,
-        b_b=b_b,
-        v_b_h=v_b_h,
+    return AsymptoticReport(
+        eta_star=np.array([s / n]),
+        a_b=np.array([[n**3 / s**2]]),
+        b_b=-(n**2 / s**2) * theta0[None, :],
+        v_b_h=np.array([[4.0 * sigma2 / n**2 * float(theta0 @ st)]]),
         v_als_1=v1,
         v_als_2=v2,
         c_b=_sym(c_b),
+        vartheta_b2=-(n * sigma2 / s) * st,
         v_b3_11=_sym(v_b3_11),
         v_b3_12=v_b3_12,
         v_b3_13=_sym(v_b3_13),
         v_b3_2=_sym(v_b3_2),
+        n_samples=n_samples,
         cond_sigma=stats.cond,
     )
-
-    reports = []
-    for length in lengths:
-        e_b_ar = -(n * sigma2 / s) / math.sqrt(length) * st
-        v_als = v1 + v2 / length
-        v_b_ar = v_als + v_b3_1 / length**2 + v_b3_2_pair / length
-        bias_sq = float(e_b_ar @ e_b_ar)
-        amse = (
-            float(np.trace(v1)) / length,
-            (float(np.trace(v_als)) + bias_sq) / length,
-            (float(np.trace(v_b_ar)) + bias_sq) / length,
-        )
-        reports.append(
-            AsymptoticReport(
-                **shared, e_b_ar=e_b_ar, v_b_ar=v_b_ar, amse=amse, n_samples=length
-            )
-        )
-    return reports[0] if single else reports
 
 
 def expansion_terms(

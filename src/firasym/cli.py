@@ -10,6 +10,7 @@ byte-identical artifacts regardless of the thread count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -380,8 +381,8 @@ def cmd_sweep(args) -> int:
     }
     header = _header(flag_cfg, args.seed)
     out_path = os.path.join(args.out, "sweep.csv")
-    # the rows run over a within N; each pole's statistics and N-independent
-    # report blocks serve every N
+    # the rows run over a within N; each pole's statistics and report blocks
+    # serve every N
     summaries = [
         (n_samples, [], {"cond": [], "bias": [], "v_als": [], "v_ar": []})
         for n_samples in args.N
@@ -394,8 +395,9 @@ def cmd_sweep(args) -> int:
         # through the module attribute, which perfbench's tracer wraps to
         # count the statistics built per pole
         stats = asymptotics.second_order_stats(filt, args.n)
-        reports = ridge_report(theta0, filt, noise, args.N, stats)
-        for (n_samples, rows, cols), report in zip(summaries, reports):
+        blocks = ridge_report(theta0, filt, noise, args.N[0], stats)
+        for n_samples, rows, cols in summaries:
+            report = dataclasses.replace(blocks, n_samples=n_samples)
             doc = report.summary()
             cols["cond"].append(report.cond_sigma)
             cols["bias"].append(doc["e_b_ar_sq_norm"])
@@ -447,7 +449,9 @@ def _checked(kind, accept, rule: str):
 
 _POLE = _checked(float, lambda x: 0.0 <= x < 1.0, "in [0, 1)")
 _COUNT = _checked(int, lambda x: x >= 1, ">= 1")
-_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+_VARIANCE = _checked(
+    float, lambda x: 0.0 < x and x * x < math.inf, "positive with a finite square"
+)
 
 
 def _parse_threads(value: str) -> int:
@@ -509,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--a-max", type=_POLE, default=0.99)
     p_sw.add_argument("--n", type=_COUNT, default=20)
     p_sw.add_argument("--N", type=int, nargs="+", default=[1000, 100000])
-    p_sw.add_argument("--sigma2", type=_POSITIVE, default=1.0)
+    p_sw.add_argument("--sigma2", type=_VARIANCE, default=1.0)
     p_sw.set_defaults(func=cmd_sweep)
     return parser
 
@@ -537,6 +541,7 @@ def main(argv: list[str] | None = None) -> int:
         FirasymError,
         SingularHessianWarning,
         FloatingPointError,
+        OverflowError,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

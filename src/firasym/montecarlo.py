@@ -211,7 +211,7 @@ def experiment_theory(
                 config.kernel,
                 system.theta0,
                 stars[sys_id],
-                stats.sigma,
+                stats.sigma_inv,
                 config.noise.sigma2,
             )
             report = regularized_error_moments(

@@ -89,12 +89,15 @@ class NoiseSpec:
     fourth_moment: float | None = None
 
     def __post_init__(self) -> None:
-        # written so that NaN fails each comparison
-        if not 0.0 < self.sigma2 < math.inf:
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        # NaN fails each comparison; x * x overflows to inf where x**2 raises
+        square = self.sigma2 * self.sigma2
+        if not (0.0 < self.sigma2 and square < math.inf):
+            raise ValueError(
+                f"sigma2 must be positive with a finite square, got {self.sigma2}"
+            )
         if self.fourth_moment is None:
-            self.fourth_moment = 3.0 * self.sigma2**2
-        if not self.sigma2**2 <= self.fourth_moment < math.inf:
+            self.fourth_moment = 3.0 * square
+        if not square <= self.fourth_moment < math.inf:
             raise ValueError(
                 f"fourth_moment must be finite and >= sigma2^2, got {self.fourth_moment}"
             )

@@ -2,6 +2,7 @@
 pass/fail line with its runtime.  Statistical checks use fixed seeds and
 the tolerances stated with each criterion."""
 
+import dataclasses
 import json
 import math
 import time
@@ -164,9 +165,9 @@ def test_criterion_5_hyper_parameter_law():
     ok = True
     for coll, a in enumerate([0.05, 0.7]):
         filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)))
-        sigma = sigma_matrix(filt, n)
+        sigma_inv = np.linalg.inv(sigma_matrix(filt, n))
         theory = hyper_parameter_law(
-            KernelSpec.ridge(), system.theta0, np.array([star]), sigma, noise.sigma2
+            KernelSpec.ridge(), system.theta0, np.array([star]), sigma_inv, noise.sigma2
         )
         limit_var = float(np.trace(theory.v_b_h)) / n_samples
         values = np.empty(records)
@@ -200,7 +201,8 @@ def test_criterion_6_ls_error_covariance():
     filt = FilterSpec(SecondOrderAR(a=0.7, c_u=math.sqrt(0.5)))
     noise = NoiseSpec(1.0)
     stats = second_order_stats(filt, n)
-    _, _, v_als = ls_error_covariances(stats, noise.sigma2, n_samples)
+    v1, v2 = ls_error_covariances(stats, noise.sigma2)
+    v_als = v1 + v2 / n_samples
     root_n = math.sqrt(n_samples)
     total = np.zeros(n)
     outer = np.zeros((n, n))
@@ -293,7 +295,7 @@ def test_criterion_7_numerical_hygiene():
     for spec in all_specs:
         theta = truths[spec.family]
         star = eta_star(spec, theta)
-        out = hyper_parameter_law(spec, theta, star, sigma_h, 1.0)
+        out = hyper_parameter_law(spec, theta, star, np.linalg.inv(sigma_h), 1.0)
         steps = [
             1e-4 * min(max(abs(star[k]), 1e-6), spec.omega[k, 1] - star[k],
                        star[k] - spec.omega[k, 0])
@@ -371,7 +373,7 @@ def test_criterion_8_pole_sweep_monotonicity():
                 return i + 1
         return points + 1
 
-    # one report call per (truth, pole) gives both record lengths
+    # one report call per (truth, pole); the other record length by replace
     lengths = (1000, 100000)
     fields = ("cond_sigma", "e_b_ar_sq_norm", "trace_v_als", "trace_v_b_ar")
     nondec = lambda xs: all(b >= a for a, b in zip(xs, xs[1:]))
@@ -380,8 +382,9 @@ def test_criterion_8_pole_sweep_monotonicity():
     for theta in truths:
         series = {n_samples: {key: [] for key in fields} for n_samples in lengths}
         for filt, stats in stats_by_point:
-            for n_samples, rep in zip(lengths, ridge_report(theta, filt, noise, lengths, stats)):
-                doc = rep.to_json_dict()
+            blocks = ridge_report(theta, filt, noise, lengths[0], stats)
+            for n_samples in lengths:
+                doc = dataclasses.replace(blocks, n_samples=n_samples).to_json_dict()
                 for key in fields:
                     series[n_samples][key].append(doc[key])
         for n_samples, values in series.items():

@@ -1,6 +1,7 @@
 """Limit quantities: input covariance, Gram fourth moments, hyper-parameter
 law and coefficient-error expansions."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -190,7 +191,7 @@ class TestGramContraction:
 
             ref = s_mp @ unvec(c_mp @ vec(s_mp)) @ s_mp
             dense_v2 = asymptotics._sym(s_inv @ unvec(dense @ vec(s_inv)) @ s_inv)
-            matrix_free_v2 = ls_error_covariances(stats, 1.0, 1000)[1]
+            matrix_free_v2 = ls_error_covariances(stats, 1.0)[1]
             assert rel_error(matrix_free_v2, ref) <= rel_error(dense_v2, ref)
 
             # v_b3_12's long-double rank-1 contraction, x = Sigma^-1 theta
@@ -288,7 +289,7 @@ class TestHyperParameterLaw:
         n = theta.size
         sigma = sigma_matrix(FilterSpec(SecondOrderAR(a=0.4, c_u=1.0)), n)
         out = hyper_parameter_law(
-            KernelSpec.ridge(), theta, np.array([s / n]), sigma, 0.7
+            KernelSpec.ridge(), theta, np.array([s / n]), np.linalg.inv(sigma), 0.7
         )
         assert out.a_b[0, 0] == pytest.approx(n**3 / s**2, rel=1e-12)
         np.testing.assert_allclose(out.b_b[0], -(n**2 / s**2) * theta, rtol=1e-12)
@@ -318,7 +319,7 @@ class TestHyperParameterLaw:
             theta = 5.0 * np.exp(-0.3 * np.arange(1, 11))
         star = eta_star(spec, theta)
         sigma = sigma_matrix(FilterSpec(SecondOrderAR(a=0.3, c_u=1.0)), theta.size)
-        out = hyper_parameter_law(spec, theta, star, sigma, 1.0)
+        out = hyper_parameter_law(spec, theta, star, np.linalg.inv(sigma), 1.0)
         p = spec.p
         hess = np.empty((p, p))
         steps = [
@@ -346,7 +347,7 @@ class TestHyperParameterLaw:
         theta = 5.0 * np.exp(-0.25 * k_idx) * np.cos(0.9 * k_idx + 0.3)
         star = eta_star(spec, theta)
         sigma = sigma_matrix(FilterSpec(SecondOrderAR(a=0.3, c_u=1.0)), theta.size)
-        out = hyper_parameter_law(spec, theta, star, sigma, 1.0)
+        out = hyper_parameter_law(spec, theta, star, np.linalg.inv(sigma), 1.0)
         solve = lambda e: np.linalg.solve(kernel_matrix(spec, e, theta.size)[0], theta)
         lo, hi = spec.omega.T
         for k in range(spec.p):
@@ -361,13 +362,12 @@ class TestHyperParameterLaw:
 class TestLsErrorCovariances:
     def test_white_noise_first_order(self):
         stats = second_order_stats(FilterSpec(SecondOrderAR(a=0.0, c_u=1.0)), 6)
-        v1, v2, v_als = ls_error_covariances(stats, 0.9, 1000)
+        v1, _ = ls_error_covariances(stats, 0.9)
         np.testing.assert_allclose(v1, 0.9 * np.eye(6), rtol=1e-14)
-        np.testing.assert_allclose(v_als, v1 + v2 / 1000, rtol=1e-14)
 
     def test_second_order_block_psd(self):
         stats = second_order_stats(FilterSpec(SecondOrderAR(a=0.7, c_u=0.5)), 10)
-        _, v2, _ = ls_error_covariances(stats, 1.0, 1000)
+        _, v2 = ls_error_covariances(stats, 1.0)
         np.testing.assert_allclose(v2, v2.T, rtol=0, atol=1e-12 * np.abs(v2).max())
         assert np.linalg.eigvalsh(v2)[0] >= -1e-10 * np.linalg.norm(v2)
 
@@ -382,7 +382,7 @@ class TestRegularizedErrorMoments:
         self.spec = KernelSpec.ridge()
         self.star = eta_star(self.spec, self.theta)
         self.t1 = hyper_parameter_law(
-            self.spec, self.theta, self.star, self.stats.sigma, self.noise.sigma2
+            self.spec, self.theta, self.star, self.stats.sigma_inv, self.noise.sigma2
         )
         self.t3 = regularized_error_moments(
             self.theta, self.t1, self.stats, self.noise, 1000
@@ -417,7 +417,7 @@ class TestRegularizedErrorMoments:
         # blocks are PSD and the cross block satisfies exactly
         #   v_b3_1 - v_b3_2' v1^-1 v_b3_2 = v_b3_12 + v_b3_13  (>= 0)
         n = self.theta.size
-        v1, v2, _ = ls_error_covariances(self.stats, self.noise.sigma2, 1000)
+        v1, v2 = ls_error_covariances(self.stats, self.noise.sigma2)
         v_b3_1 = self.t3.v_b3_11 + self.t3.v_b3_12 + self.t3.v_b3_13
         joint = np.zeros((3 * n, 3 * n))
         joint[:n, :n] = v1
@@ -442,7 +442,7 @@ class TestRegularizedErrorMoments:
         n, s = theta.size, float(theta @ theta)
         filt = FilterSpec(SecondOrderAR(a=0.0, c_u=1.0))
         stats = second_order_stats(filt, n)
-        t1 = hyper_parameter_law(self.spec, theta, self.star, stats.sigma, 1.0)
+        t1 = hyper_parameter_law(self.spec, theta, self.star, stats.sigma_inv, 1.0)
         t3 = regularized_error_moments(theta, t1, stats, NoiseSpec(1.0), 1000)
         eigs = np.linalg.eigvalsh(t3.v_b3_2)
         assert eigs[-1] == pytest.approx(n / s, rel=1e-8)
@@ -452,9 +452,10 @@ class TestRegularizedErrorMoments:
         assert self.t3.amse[0] <= self.t3.amse[1]
 
     def test_carries_the_ls_error_covariances(self):
-        v1, v2, _ = ls_error_covariances(self.stats, self.noise.sigma2, 1000)
+        v1, v2 = ls_error_covariances(self.stats, self.noise.sigma2)
         np.testing.assert_array_equal(self.t3.v_als_1, v1)
         np.testing.assert_array_equal(self.t3.v_als_2, v2)
+        np.testing.assert_array_equal(self.t3.v_als, v1 + v2 / 1000)
 
     def test_is_the_generic_report(self):
         report = asymptotic_report(self.spec, self.theta, self.filt, self.noise, 1000)
@@ -467,13 +468,24 @@ class TestRegularizedErrorMoments:
         reports = [
             lambda: asymptotic_report(self.spec, *args, n_samples),
             lambda: ridge_report(*args, n_samples),
-            lambda: ridge_report(*args, [1000, n_samples]),
+            lambda: dataclasses.replace(self.t3, n_samples=n_samples),
         ]
         for report in reports:
-            with pytest.raises(ValueError, match=f"got .*{n_samples}"):
+            with pytest.raises(ValueError, match=f"got {n_samples}"):
                 report()
-        with pytest.raises(ValueError, match=r"got \[\]"):
-            ridge_report(*args, [])
+
+    @pytest.mark.parametrize("a", [0.7, 0.99])
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec.ridge(), KernelSpec.tc()], ids=["ridge", "tc"]
+    )
+    def test_replace_is_the_report_at_another_length(self, spec, a):
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=0.6))
+        noise = NoiseSpec(2.5, fourth_moment=30.0)  # not 3 sigma2^2
+        base = asymptotic_report(spec, self.theta, filt, noise, 1000)
+        for n_samples in (10, 1000, 100000):
+            moved = dataclasses.replace(base, n_samples=n_samples)
+            fresh = asymptotic_report(spec, self.theta, filt, noise, n_samples)
+            assert moved.to_json_dict() == fresh.to_json_dict()
 
 
 class TestRidgeEquivalence:
@@ -516,10 +528,10 @@ class TestRidgeEquivalence:
         filt = FilterSpec(SecondOrderAR(a=a, c_u=0.6))
         noise = NoiseSpec(2.5, fourth_moment=30.0)  # not 3 sigma2^2
         stats = second_order_stats(filt, theta.size) if shared_stats else None
-        lengths = [1000, 10, 1000]
-        reports = ridge_report(theta, filt, noise, lengths, stats)
-        assert [r.n_samples for r in reports] == lengths
-        for report, n_samples in zip(reports, lengths):
+        base = ridge_report(theta, filt, noise, 1000, stats)
+        for n_samples in [1000, 10, 1000]:
+            report = dataclasses.replace(base, n_samples=n_samples)
+            assert report.n_samples == n_samples
             single = ridge_report(theta, filt, noise, n_samples)
             assert report.to_json_dict() == single.to_json_dict()
 
@@ -529,6 +541,10 @@ class TestRidgeEquivalence:
             theta, FilterSpec(SecondOrderAR(a=0.3, c_u=1.0)), NoiseSpec(1.0), 500
         )
         doc = report.to_json_dict()
+        # the derived record-length terms are written, the bias block is not
+        summaries = {"trace_v_b_h", "trace_v_als", "trace_v_b_ar", "e_b_ar_sq_norm"}
+        keys = set(REPORT_FIELDS) | {"amse", "n_samples", "cond_sigma"} | summaries
+        assert set(doc) == keys and "vartheta_b2" not in doc
         assert doc["n_samples"] == 500
         np.testing.assert_allclose(np.array(doc["v_b_ar"]), report.v_b_ar)
         assert doc["trace_v_b_h"] == pytest.approx(float(np.trace(report.v_b_h)))
@@ -601,7 +617,9 @@ class TestConditionBounds:
             lam = values.copy()
             lam[0] *= shrink  # eigh sorts ascending; index 0 is the smallest
             sigma = vectors @ np.diag(lam) @ vectors.T
-            out = hyper_parameter_law(KernelSpec.ridge(), theta, star, sigma, 1.0)
+            out = hyper_parameter_law(
+                KernelSpec.ridge(), theta, star, np.linalg.inv(sigma), 1.0
+            )
             traces.append(float(np.trace(out.v_b_h)))
         assert all(t2 > t1 for t1, t2 in zip(traces, traces[1:]))
 

@@ -178,6 +178,22 @@ class TestAsymCommand:
         assert "field system.n: expected >= 1" in capsys.readouterr().err
         assert not (tmp_path / "asym_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "change, code, message",
+        [
+            ({"noise": {"sigma2": 1e200}}, 2, "field noise: sigma2"),
+            ({"filter": {"a": 0.0, "cu2": 1e160}}, 3, "numerical failure"),
+            ({"filter": {"a": 0.0, "cu2": 4.0, "sigma_e2": 1e200}}, 3, "numerical failure"),
+        ],
+    )
+    def test_overflow_is_an_exit_code(self, tmp_path, capsys, change, code, message):
+        # Python's float ** raises OverflowError where numpy would give inf;
+        # main returns a code, so no traceback is printed
+        cfg = write_config(tmp_path, dict(ASYM_CONFIG, **change))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "asym_report.json").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a zero truth pushes the analytic ridge optimum out of the box
         broken = dict(ASYM_CONFIG, theta0=[0.0, 0.0, 0.0, 0.0])
@@ -425,6 +441,7 @@ class TestFlagValidation:
             (["table1", "--records", "0"], "--records"),
             (["sweep", "--sigma2", "0"], "--sigma2"),
             (["sweep", "--sigma2", "inf"], "--sigma2"),
+            (["sweep", "--sigma2", "1e200"], "--sigma2"),  # its square overflows
         ],
     )
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv, flag):
