@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.ndimage import minimum_filter
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
@@ -553,6 +552,19 @@ def _newton_polish(eval_internal, x, lo, hi):
     return x, value, float(np.linalg.norm(grad[_free(x, grad, lo, hi)]))
 
 
+def _box_minimum(a: np.ndarray) -> np.ndarray:
+    """Minimum over each point's 3^p box with edges replicated, as
+    scipy.ndimage.minimum_filter(a, size=3, mode="nearest"): per axis, each
+    entry takes the minimum with its predecessor, then with its successor
+    (numpy reads overlapping input and output views as if copied first)."""
+    out = a.copy()
+    for axis in range(a.ndim):
+        view = np.moveaxis(out, axis, 0)
+        np.minimum(view[1:], view[:-1], out=view[1:])
+        np.minimum(view[:-1], view[1:], out=view[:-1])
+    return out
+
+
 def minimize_box(
     theta: np.ndarray,
     ridge_term: np.ndarray,
@@ -566,9 +578,10 @@ def minimize_box(
     fixed lattice in one batched call and walks the ``opts.starts`` best
     lattice points in rank order.  Each is polished with analytic-gradient
     L-BFGS-B (at most 400 iterations) and then Newton steps, except a point
-    that a lattice neighbour (diagonals included) outranks while every start
-    polished so far ended first-order optimal: the projected gradient at
-    most 1e-6 (1 + |cost|).  Following better-ranked neighbours from such a
+    that a lattice neighbour (diagonals included) outranks, i.e. whose rank
+    is above the minimum rank over its 3^p box, while every start polished
+    so far ended first-order optimal: the projected gradient at most
+    1e-6 (1 + |cost|).  Following better-ranked neighbours from such a
     point leads to a valley bottom among the best points, which was
     polished, so the point would descend into that valley again.  The best
     lattice point is always polished.  The best polished point wins; minima
@@ -612,7 +625,7 @@ def minimize_box(
     rank = np.empty(ranked.size, dtype=int)
     rank[ranked] = np.arange(ranked.size)
     rank = rank.reshape((_SCAN_POINTS[p],) * p)
-    bottom = (rank == minimum_filter(rank, size=3, mode="nearest")).ravel()
+    bottom = (rank == _box_minimum(rank)).ravel()
 
     candidates: list[tuple[float, tuple[float, ...], bool]] = []
     all_optimal = True

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import RankDeficientError
 
@@ -225,6 +224,11 @@ def generate_input(
     kind = filt.kind
     scale = math.sqrt(filt.sigma_e2)
     if isinstance(kind, SecondOrderAR):
+        # imported here, not at module level: scipy.signal, with the
+        # scipy.stats it loads, takes ~0.4 s to import, and `sweep` and
+        # `asym` at a T1 truth filter nothing
+        from scipy.signal import lfilter
+
         burn = _burn_in_length(kind.a)
         e = rng.standard_normal(burn + length) * scale
         den = np.array([1.0, -2.0 * kind.a, kind.a**2])
@@ -294,6 +298,8 @@ def generate_t2(n: int, rng: RandomStream) -> FirSystem:
     num = np.real(np.poly(zeros))
     pulse = np.zeros(n + 1)
     pulse[0] = 1.0
+    from scipy.signal import lfilter  # lazily, see generate_input
+
     h = lfilter(num, den, pulse)
     theta = h[1 : n + 1]
     nrm = np.linalg.norm(theta)

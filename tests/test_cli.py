@@ -649,6 +649,56 @@ def test_import_defaults_blas_threads_to_one(preset):
     assert done.stdout.split() == [preset or "1", "1", "1"]
 
 
+# scipy.signal (with the scipy.stats it loads) is needed only to filter an
+# input, and scipy.ndimage by nothing; `asym` and `sweep` must not pay for
+# importing them.
+INPUT_ONLY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.ndimage")
+
+
+def fresh_process_run(*commands):
+    """Run each argument list through ``cli.main`` in one new interpreter;
+    return the exit codes and the ``scipy.*`` modules loaded afterwards.
+
+    A new process is needed because this one has imported scipy.signal.
+    """
+    code = (
+        "import json, sys\n"
+        "import firasym.cli as cli\n"
+        "codes = [cli.main(args) for args in json.loads(sys.argv[1])]\n"
+        "scipy = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+        "print(json.dumps([codes, scipy]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(firasym.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    codes, modules = json.loads(done.stdout.splitlines()[-1])
+    return codes, set(modules)
+
+
+def test_asym_and_sweep_import_no_input_modules(tmp_path):
+    cfg = write_config(tmp_path, CRITERION_9_ASYM)
+    codes, modules = fresh_process_run(
+        ["sweep", "--grid-points", "2", "--n", "4", "--N", "100", "--out", str(tmp_path / "s")],
+        ["asym", "--config", cfg, "--out", str(tmp_path / "a")],
+    )
+    assert codes == [0, 0]
+    assert modules.isdisjoint(INPUT_ONLY_SCIPY)
+
+
+def test_mc_loads_the_input_filter_on_demand(tmp_path):
+    cfg = write_config(tmp_path, dict(MC_CONFIG, records=1, system={"type": "T1", "count": 1}))
+    codes, modules = fresh_process_run(
+        ["mc", "--config", cfg, "--threads", "1", "--out", str(tmp_path)]
+    )
+    assert codes == [0]
+    assert "scipy.signal" in modules
+
+
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 

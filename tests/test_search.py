@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.ndimage import minimum_filter
 
 import firasym.estimators as est
 from firasym import (
@@ -294,6 +295,16 @@ class TestStartSelection:
         counts = counted_search(monkeypatch)
         eb_estimate(bank_records()[0], KernelSpec.ridge(), OptimizerOptions(starts))
         assert counts["lbfgsb"] == len(polished) == starts
+
+    @pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
+    def test_box_minimum_matches_minimum_filter(self, shape):
+        # the valley-bottom test's neighbour minimum is scipy.ndimage's 3^p
+        # box minimum with edge replication, compared as whole arrays
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            rank = rng.permutation(math.prod(shape)).reshape(shape)
+            expected = minimum_filter(rank, size=3, mode="nearest")
+            np.testing.assert_array_equal(est._box_minimum(rank), expected)
 
 
 def interior_etas(spec, fractions):
