@@ -15,12 +15,10 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .asymptotics import (
     AsymptoticReport,
-    ExpansionTerms,
     SecondOrderStats,
     asymptotic_report,
     c_gamma,
     eta_star,
-    expansion_terms,
     gram_contraction,
     ridge_report,
     second_order_stats,
@@ -28,8 +26,6 @@ from .asymptotics import (
     hyper_parameter_law,
     ls_error_covariances,
     regularized_error_moments,
-    unvec,
-    vec,
 )
 from .errors import (
     ConfigError,
@@ -76,6 +72,5 @@ from .signals import (
     generate_input,
     generate_t1,
     generate_t2,
-    impulse_response,
     lag_matrix,
 )

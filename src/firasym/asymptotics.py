@@ -7,9 +7,9 @@ its curvature (a_b) and sensitivity (b_b) blocks, the limiting covariance
 of the hyper-parameter estimate (v_b_h), the second- and third-order
 covariance blocks of the coefficient estimates, and the induced
 mean-square-error approximations, derived at any record length N from the
-blocks that do not depend on N.
-Matching per-record expansion terms are provided so the algebraic
-decompositions can be checked on simulated data.
+blocks that do not depend on N.  The per-record expansion terms that
+check these decompositions on simulated data live with the tests, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from scipy.linalg import toeplitz
 
 from .errors import OutOfBoxError, SingularHessianWarning
 from .estimators import (
-    EbFit,
     KernelSpec,
     OptimizerOptions,
     _pd_inverse,
@@ -34,25 +33,11 @@ from .estimators import (
     minimize_box,
 )
 from .signals import (
-    Dataset,
     FilterSpec,
     NoiseSpec,
     SecondOrderAR,
     autocovariance,
 )
-
-
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Stack columns of a square matrix into a vector."""
-    return mat.reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    n = int(round(math.sqrt(v.size)))
-    if n * n != v.size:
-        raise ValueError("length is not a perfect square")
-    return v.reshape((n, n), order="F")
 
 
 @dataclass
@@ -151,27 +136,6 @@ class AsymptoticReport:
         doc = {name: np.asarray(getattr(self, name)).tolist() for name in names}
         doc.update(self.summary())
         return doc
-
-
-@dataclass
-class ExpansionTerms:
-    """Per-record expansion terms of the scaled estimation errors.
-
-    The members satisfy, up to rounding,
-
-        sqrt(N) (theta_ls - theta0) = t1 + t2 / sqrt(N)
-        sqrt(N) (theta_tr - theta0) = t1 + (t2 + bias) / sqrt(N) + t3 / N
-
-    with t1 = theta_als_1, t2 = theta_als_2, bias = vartheta_b2 and
-    t3 = theta_b3; the residual norms of both identities are reported.
-    """
-
-    theta_als_1: np.ndarray
-    theta_als_2: np.ndarray
-    vartheta_b2: np.ndarray
-    theta_b3: np.ndarray
-    residual_ls: float
-    residual_rls: float
 
 
 def sigma_matrix(filt: FilterSpec, n: int) -> np.ndarray:
@@ -315,14 +279,6 @@ def second_order_stats(filt: FilterSpec, n: int) -> SecondOrderStats:
     )
 
 
-def prior_fit_cost(
-    eta: np.ndarray, theta0: np.ndarray, spec: KernelSpec
-) -> tuple[float, np.ndarray]:
-    """Limit criterion theta0' P^-1 theta0 + logdet P and its gradient: the
-    reduced cost with a zero noise term."""
-    return _reduced_cost_grad(np.asarray(eta, float), theta0, 0.0, spec)
-
-
 def eta_star(
     spec: KernelSpec, theta0: np.ndarray, opts: OptimizerOptions | None = None
 ) -> np.ndarray:
@@ -336,8 +292,7 @@ def eta_star(
                 f"analytic ridge optimum {value} outside box {spec.omega.tolist()}"
             )
         return np.array([value])
-    n = theta0.size
-    eta, _, _ = minimize_box(theta0, np.zeros((n, n)), spec, opts)
+    eta, _, _ = minimize_box(theta0, 0.0, spec, opts)
     return eta
 
 
@@ -541,56 +496,4 @@ def ridge_report(
         v_b3_2=_sym(v_b3_2),
         n_samples=n_samples,
         cond_sigma=stats.cond,
-    )
-
-
-def expansion_terms(
-    data: Dataset,
-    fit: EbFit,
-    sigma: np.ndarray,
-    eta_star_value: np.ndarray,
-    sigma2: float,
-) -> ExpansionTerms:
-    """Record-level expansion terms of the scaled estimation errors.
-
-    The two decompositions documented on :class:`ExpansionTerms` hold as
-    algebraic identities; their floating-point residuals are returned so
-    callers can assert them against a tolerance.
-    """
-    if data.v is None:
-        raise ValueError("dataset must retain the noise realization")
-    n = data.order
-    n_samples = data.n_samples
-    theta0 = data.system.theta0
-    root_n = math.sqrt(n_samples)
-    g_inv = _pd_inverse(data.gram)
-    s_inv = _pd_inverse(sigma)
-    p_star_inv = _pd_inverse(kernel_matrix(fit.kernel, eta_star_value, n, order=0)[0])
-
-    scaled_cross = root_n * (data.phi.T @ data.v) / n_samples
-    theta_als_1 = s_inv @ scaled_cross
-    theta_als_2 = root_n * (n_samples * g_inv - s_inv) @ scaled_cross
-    limit_shrink = sigma2 * s_inv @ (p_star_inv @ theta0)
-    vartheta_b2 = -limit_shrink
-
-    p_hat = kernel_matrix(fit.kernel, fit.eta_hat, n, order=0)[0]
-    s_hat = p_hat + fit.sigma2_hat * g_inv
-    theta_b3 = -root_n * (
-        fit.sigma2_hat * n_samples * g_inv @ np.linalg.solve(s_hat, fit.theta_ls)
-        - limit_shrink
-    )
-
-    lhs_ls = root_n * (fit.theta_ls - theta0)
-    rhs_ls = theta_als_1 + theta_als_2 / root_n
-    lhs_rls = root_n * (fit.theta_tr - theta0)
-    rhs_rls = (
-        theta_als_1 + (theta_als_2 + vartheta_b2) / root_n + theta_b3 / n_samples
-    )
-    return ExpansionTerms(
-        theta_als_1=theta_als_1,
-        theta_als_2=theta_als_2,
-        vartheta_b2=vartheta_b2,
-        theta_b3=theta_b3,
-        residual_ls=float(np.linalg.norm(lhs_ls - rhs_ls)),
-        residual_rls=float(np.linalg.norm(lhs_rls - rhs_rls)),
     )

@@ -174,7 +174,6 @@ class EbFit:
     theta_ls: np.ndarray
     theta_tr: np.ndarray
     cost: float
-    kernel: KernelSpec
     stats: OptimizerStats
 
 
@@ -335,8 +334,13 @@ def ls_estimate(data: Dataset) -> np.ndarray:
 
 def noise_variance_estimate(data: Dataset) -> float:
     """Unbiased residual-based noise variance ||Y - Phi theta_ls||^2 / (N - n)."""
+    dof = data.n_samples - data.order
+    if dof < 1:
+        raise RankDeficientError(
+            f"no residual degrees of freedom (N={data.n_samples}, n={data.order})"
+        )
     resid = data.y - data.phi @ data.theta_ls
-    return float(resid @ resid) / (data.n_samples - data.order)
+    return float(resid @ resid) / dof
 
 
 def rls_estimate(data: Dataset, p_mat: np.ndarray, sigma2: float) -> np.ndarray:
@@ -417,7 +421,7 @@ def _reduced_cost_grad(
 def _reduced_cost_batch(
     etas: np.ndarray,
     theta: np.ndarray,
-    ridge_term: np.ndarray,
+    ridge_term: np.ndarray | float,
     spec: KernelSpec,
 ) -> np.ndarray:
     """theta' S^-1 theta + logdet S at a stack of points etas (G, p), from one
@@ -567,7 +571,7 @@ def _box_minimum(a: np.ndarray) -> np.ndarray:
 
 def minimize_box(
     theta: np.ndarray,
-    ridge_term: np.ndarray,
+    ridge_term: np.ndarray | float,
     spec: KernelSpec,
     opts: OptimizerOptions | None = None,
 ):
@@ -678,6 +682,5 @@ def eb_estimate(
         theta_ls=theta_ls,
         theta_tr=theta_tr,
         cost=value,
-        kernel=spec,
         stats=stats,
     )

@@ -306,7 +306,7 @@ def aggregate_records(
     config: ExperimentConfig,
     records: list[RecordResult],
     theory: dict[tuple[int, int], CollectionTheory],
-    excluded: list[int] | None = None,
+    excluded: list[int],
 ) -> list[AggregateMetrics]:
     """Collection-level summaries from per-record results; ``excluded``
     holds the failed-record count of each collection.
@@ -379,7 +379,7 @@ def aggregate_records(
                 num_sys_3=sum(s["flags"][2] for s in per_system),
                 mean_fit_g=avg("fit"),
                 mean_cond_phitphi=avg("cond"),
-                excluded=excluded[coll_id] if excluded else 0,
+                excluded=excluded[coll_id],
             )
         )
     return out
@@ -420,9 +420,9 @@ def table1(
 _PARSE = {"int": int, "float": float, "bool": lambda text: bool(int(text))}
 
 
-def write_header(handle, header: dict | None) -> None:
+def write_header(handle, header: dict) -> None:
     """The ``# key=value`` lines that open a CSV artifact."""
-    for key, value in (header or {}).items():
+    for key, value in header.items():
         handle.write(f"# {key}={value}\n")
 
 
@@ -437,7 +437,7 @@ def csv_columns(p: int) -> list[str]:
 
 
 def write_records_csv(
-    path, records: list[RecordResult], p: int, header: dict | None = None
+    path, records: list[RecordResult], p: int, header: dict
 ) -> None:
     """Persist per-record results; floats keep full round-trip precision
     (``repr``) and flags are written as 0/1."""

@@ -124,15 +124,14 @@ class FirSystem:
 class Dataset:
     """One identification record: Y = Phi theta0 + V.
 
-    Row t of ``phi`` is [u(t-1), ..., u(t-n)].  ``v`` is the realized noise
-    (kept for expansion-identity checks) or None when unknown.  ``gram`` and
-    ``theta_ls`` are formed on first use and cached, so ``phi`` and ``y``
-    must not change after that.
+    Row t of ``phi`` is [u(t-1), ..., u(t-n)].  The noise V is not kept;
+    where it is needed, it is Y - Phi theta0.  ``gram`` and ``theta_ls`` are
+    formed on first use and cached, so ``phi`` and ``y`` must not change
+    after that.
     """
 
     phi: np.ndarray
     y: np.ndarray
-    v: np.ndarray | None
     system: FirSystem
 
     @property
@@ -158,32 +157,6 @@ class Dataset:
                 f" n={self.order})"
             )
         return theta
-
-
-def impulse_response(filt: FilterSpec, tail_tol: float) -> np.ndarray:
-    """Impulse response h(0..K) with discarded tail below tail_tol.
-
-    K is chosen so that sum_{k>K} |h(k)| <= tail_tol * sum_{k<=K} |h(k)|.
-    For the double-pole filter the cut-off comes from the geometric tail
-    bound; explicit sequences are returned unchanged.
-    """
-    if tail_tol <= 0.0:
-        raise ValueError("tail_tol must be positive")
-    kind = filt.kind
-    if isinstance(kind, ImpulseSequence):
-        return kind.h.copy()
-    a, c_u = kind.a, kind.c_u
-    # sum_{k>=m} (k+1) a^k = a^m [(m+1)(1-a) + a] / (1-a)^2, exact.
-    total = 1.0 / (1.0 - a) ** 2
-    cut = 0
-    while True:
-        m = cut + 1
-        tail = a**m * ((m + 1.0) * (1.0 - a) + a) / (1.0 - a) ** 2
-        if tail <= tail_tol * (total - tail):
-            break
-        cut += 1
-    k = np.arange(cut + 1)
-    return c_u * (k + 1) * a**k
 
 
 def autocovariance(filt: FilterSpec, tau: int) -> float:
@@ -256,7 +229,6 @@ def build_dataset(
     u: np.ndarray,
     noise: NoiseSpec,
     rng: RandomStream,
-    noise_free: bool = False,
 ) -> Dataset:
     """Assemble the lagged regression matrix and simulate the output.
 
@@ -264,12 +236,8 @@ def build_dataset(
     regression matrix is checked by ``Dataset.theta_ls``, which a fit needs.
     """
     phi = lag_matrix(u, system.order)
-    n_samples = phi.shape[0]
-    if noise_free:
-        v = np.zeros(n_samples)
-    else:
-        v = rng.standard_normal(n_samples) * math.sqrt(noise.sigma2)
-    return Dataset(phi=phi, y=phi @ system.theta0 + v, v=v, system=system)
+    v = rng.standard_normal(phi.shape[0]) * math.sqrt(noise.sigma2)
+    return Dataset(phi=phi, y=phi @ system.theta0 + v, system=system)
 
 
 def generate_t1(n: int, rng: RandomStream) -> FirSystem:

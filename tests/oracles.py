@@ -1,0 +1,172 @@
+"""Reference code that only the tests read: the column-stacking operator,
+a truncated impulse response that turns the double-pole closed forms into
+independently summed series, noise-free records, and the per-record
+expansion of the scaled estimation errors, whose two decompositions hold
+as algebraic identities on simulated data."""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from firasym import (
+    Dataset,
+    EbFit,
+    FilterSpec,
+    FirSystem,
+    ImpulseSequence,
+    KernelSpec,
+    SecondOrderAR,
+    kernel_matrix,
+    lag_matrix,
+)
+from firasym.estimators import _pd_inverse
+
+# the matrix and vector blocks that two report paths must agree on
+REPORT_FIELDS = [
+    "eta_star",
+    "a_b",
+    "b_b",
+    "v_b_h",
+    "v_als_1",
+    "v_als_2",
+    "c_b",
+    "e_b_ar",
+    "v_b3_11",
+    "v_b3_12",
+    "v_b3_13",
+    "v_b3_2",
+    "v_b_ar",
+]
+
+
+def vec(mat: np.ndarray) -> np.ndarray:
+    """Stack columns of a square matrix into a vector."""
+    return mat.reshape(-1, order="F")
+
+
+def unvec(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vec` for square matrices."""
+    n = int(round(math.sqrt(v.size)))
+    if n * n != v.size:
+        raise ValueError("length is not a perfect square")
+    return v.reshape((n, n), order="F")
+
+
+def impulse_response(filt: FilterSpec, tail_tol: float) -> np.ndarray:
+    """Impulse response h(0..K) with discarded tail below tail_tol.
+
+    K is chosen so that sum_{k>K} |h(k)| <= tail_tol * sum_{k<=K} |h(k)|.
+    For the double-pole filter the cut-off comes from the geometric tail
+    bound; explicit sequences are returned unchanged.
+    """
+    if tail_tol <= 0.0:
+        raise ValueError("tail_tol must be positive")
+    kind = filt.kind
+    if isinstance(kind, ImpulseSequence):
+        return kind.h.copy()
+    a, c_u = kind.a, kind.c_u
+    # sum_{k>=m} (k+1) a^k = a^m [(m+1)(1-a) + a] / (1-a)^2, exact.
+    total = 1.0 / (1.0 - a) ** 2
+    cut = 0
+    while True:
+        m = cut + 1
+        tail = a**m * ((m + 1.0) * (1.0 - a) + a) / (1.0 - a) ** 2
+        if tail <= tail_tol * (total - tail):
+            break
+        cut += 1
+    k = np.arange(cut + 1)
+    return c_u * (k + 1) * a**k
+
+
+def truncated_filter(a: float, c_u: float, sigma_e2: float = 1.0) -> FilterSpec:
+    """Finite-impulse surrogate of the double-pole filter, tail below 1e-12.
+
+    Routing it through the explicit-sequence paths turns every closed form
+    into an independently summed series oracle.
+    """
+    base = FilterSpec(SecondOrderAR(a=a, c_u=c_u), sigma_e2=sigma_e2)
+    h = impulse_response(base, 1e-12)
+    return FilterSpec(ImpulseSequence(h=h), sigma_e2=sigma_e2)
+
+
+def noise_free_dataset(system: FirSystem, u: np.ndarray) -> Dataset:
+    """The record Y = Phi theta0 of input ``u`` (t = 1-n ... N-1)."""
+    phi = lag_matrix(u, system.order)
+    return Dataset(phi=phi, y=phi @ system.theta0, system=system)
+
+
+@dataclass
+class ExpansionTerms:
+    """Per-record expansion terms of the scaled estimation errors.
+
+    The members satisfy, up to rounding,
+
+        sqrt(N) (theta_ls - theta0) = t1 + t2 / sqrt(N)
+        sqrt(N) (theta_tr - theta0) = t1 + (t2 + bias) / sqrt(N) + t3 / N
+
+    with t1 = theta_als_1, t2 = theta_als_2, bias = vartheta_b2 and
+    t3 = theta_b3; the residual norms of both identities are reported.
+    """
+
+    theta_als_1: np.ndarray
+    theta_als_2: np.ndarray
+    vartheta_b2: np.ndarray
+    theta_b3: np.ndarray
+    residual_ls: float
+    residual_rls: float
+
+
+def expansion_terms(
+    data: Dataset,
+    fit: EbFit,
+    spec: KernelSpec,
+    sigma_inv: np.ndarray,
+    p_star_inv: np.ndarray,
+    sigma2: float,
+) -> ExpansionTerms:
+    """Record-level expansion terms of the scaled estimation errors.
+
+    ``fit`` is ``spec``'s fit of ``data``.  ``sigma_inv`` and ``p_star_inv``
+    are Sigma^-1 and P(eta*)^-1, which every record of a collection shares
+    (``second_order_stats(...).sigma_inv`` and ``hyper_parameter_law(...)
+    .p_inv``).  The noise realization is read off the record as
+    V = Y - Phi theta0.  The two decompositions documented on
+    :class:`ExpansionTerms` hold as algebraic identities; their
+    floating-point residuals are returned so callers can assert them
+    against a tolerance.
+    """
+    n = data.order
+    n_samples = data.n_samples
+    theta0 = data.system.theta0
+    root_n = math.sqrt(n_samples)
+    g_inv = _pd_inverse(data.gram)
+    v = data.y - data.phi @ theta0
+
+    scaled_cross = root_n * (data.phi.T @ v) / n_samples
+    theta_als_1 = sigma_inv @ scaled_cross
+    theta_als_2 = root_n * (n_samples * g_inv - sigma_inv) @ scaled_cross
+    limit_shrink = sigma2 * sigma_inv @ (p_star_inv @ theta0)
+    vartheta_b2 = -limit_shrink
+
+    p_hat = kernel_matrix(spec, fit.eta_hat, n, order=0)[0]
+    s_hat = p_hat + fit.sigma2_hat * g_inv
+    theta_b3 = -root_n * (
+        fit.sigma2_hat * n_samples * g_inv @ np.linalg.solve(s_hat, fit.theta_ls)
+        - limit_shrink
+    )
+
+    lhs_ls = root_n * (fit.theta_ls - theta0)
+    rhs_ls = theta_als_1 + theta_als_2 / root_n
+    lhs_rls = root_n * (fit.theta_tr - theta0)
+    rhs_rls = (
+        theta_als_1 + (theta_als_2 + vartheta_b2) / root_n + theta_b3 / n_samples
+    )
+    return ExpansionTerms(
+        theta_als_1=theta_als_1,
+        theta_als_2=theta_als_2,
+        vartheta_b2=vartheta_b2,
+        theta_b3=theta_b3,
+        residual_ls=float(np.linalg.norm(lhs_ls - rhs_ls)),
+        residual_rls=float(np.linalg.norm(lhs_rls - rhs_rls)),
+    )

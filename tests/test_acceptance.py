@@ -13,7 +13,6 @@ import pytest
 import firasym.estimators as est
 from firasym import (
     FilterSpec,
-    ImpulseSequence,
     KernelSpec,
     NoiseSpec,
     SecondOrderAR,
@@ -24,10 +23,8 @@ from firasym import (
     eb_cost,
     eb_estimate,
     eta_star,
-    expansion_terms,
     generate_input,
     generate_t1,
-    impulse_response,
     lag_matrix,
     ls_estimate,
     noise_variance_estimate,
@@ -39,25 +36,10 @@ from firasym import (
     ls_error_covariances,
     regularized_error_moments,
 )
-from firasym.asymptotics import prior_fit_cost
 from firasym.cli import main
+from oracles import REPORT_FIELDS, expansion_terms, truncated_filter
 
 SEED = 20240811
-REPORT_FIELDS = [
-    "eta_star",
-    "a_b",
-    "b_b",
-    "v_b_h",
-    "v_als_1",
-    "v_als_2",
-    "c_b",
-    "e_b_ar",
-    "v_b3_11",
-    "v_b3_12",
-    "v_b3_13",
-    "v_b3_2",
-    "v_b_ar",
-]
 
 
 def report(num: int, label: str, ok: bool, elapsed: float, limit: float, detail=""):
@@ -65,11 +47,6 @@ def report(num: int, label: str, ok: bool, elapsed: float, limit: float, detail=
     print(f"criterion {num} [{label}] {status} ({elapsed:.1f}s / {limit:.0f}s) {detail}")
     assert ok, f"criterion {num} ({label}): {detail}"
     assert elapsed <= limit, f"criterion {num} exceeded {limit}s ({elapsed:.1f}s)"
-
-
-def truncated(a: float, c_u: float, sigma_e2: float = 1.0) -> FilterSpec:
-    base = FilterSpec(SecondOrderAR(a=a, c_u=c_u), sigma_e2=sigma_e2)
-    return FilterSpec(ImpulseSequence(h=impulse_response(base, 1e-12)), sigma_e2=sigma_e2)
 
 
 def ridge_record(system, filt, noise, n_samples, key):
@@ -102,7 +79,7 @@ def test_criterion_2_closed_forms_vs_series():
     n = 20
     for a in [0.0, 0.3, 0.5, 0.7, 0.95]:
         closed_filt = FilterSpec(SecondOrderAR(a=a, c_u=1.1), sigma_e2=0.9)
-        series_filt = truncated(a, 1.1, 0.9)
+        series_filt = truncated_filter(a, 1.1, 0.9)
         for fn in (sigma_matrix, c_gamma):
             closed = fn(closed_filt, n)
             series = fn(series_filt, n)
@@ -141,14 +118,15 @@ def test_criterion_4_expansion_identities():
     system = generate_t1(n, derive_stream(SEED, 1, 0))
     filt = FilterSpec(SecondOrderAR(a=0.7, c_u=math.sqrt(0.5)))
     noise = NoiseSpec(1.0)
-    sigma = sigma_matrix(filt, n)
+    sigma_inv = second_order_stats(filt, n).sigma_inv
     spec = KernelSpec.ridge()
     star = eta_star(spec, system.theta0)
+    p_inv = hyper_parameter_law(spec, system.theta0, star, sigma_inv, noise.sigma2).p_inv
     worst = 0.0
     for r in range(records):
         data = ridge_record(system, filt, noise, n_samples, (4, r))
         fit = eb_estimate(data, spec)
-        terms = expansion_terms(data, fit, sigma, star, noise.sigma2)
+        terms = expansion_terms(data, fit, spec, sigma_inv, p_inv, noise.sigma2)
         scale = np.linalg.norm(system.theta0) + np.linalg.norm(fit.theta_ls)
         worst = max(worst, terms.residual_ls / scale, terms.residual_rls / scale)
     report(4, "expansion identities", worst <= 1e-8, time.time() - start, 60,
@@ -301,7 +279,7 @@ def test_criterion_7_numerical_hygiene():
                        star[k] - spec.omega[k, 0])
             for k in range(spec.p)
         ]
-        f = lambda e: prior_fit_cost(e, theta, spec)[0]
+        f = lambda e: eb_cost(e, theta, np.eye(theta.size), 0.0, spec)[0]
         for k in range(spec.p):
             for m in range(spec.p):
                 ek, em_ = np.zeros(spec.p), np.zeros(spec.p)

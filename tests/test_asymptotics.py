@@ -12,7 +12,6 @@ import pytest
 
 from firasym import (
     FilterSpec,
-    ImpulseSequence,
     KernelSpec,
     NoiseSpec,
     SecondOrderAR,
@@ -21,13 +20,12 @@ from firasym import (
     build_dataset,
     c_gamma,
     derive_stream,
+    eb_cost,
     eb_estimate,
     eta_star,
-    expansion_terms,
     gram_contraction,
     generate_input,
     generate_t1,
-    impulse_response,
     kernel_matrix,
     ridge_report,
     second_order_stats,
@@ -35,39 +33,17 @@ from firasym import (
     hyper_parameter_law,
     ls_error_covariances,
     regularized_error_moments,
+)
+from firasym import asymptotics
+from firasym.montecarlo import _SYSTEM_TAG
+from oracles import (
+    REPORT_FIELDS,
+    expansion_terms,
+    noise_free_dataset,
+    truncated_filter,
     unvec,
     vec,
 )
-from firasym import asymptotics
-from firasym.asymptotics import prior_fit_cost
-from firasym.montecarlo import _SYSTEM_TAG
-
-REPORT_FIELDS = [
-    "eta_star",
-    "a_b",
-    "b_b",
-    "v_b_h",
-    "v_als_1",
-    "v_als_2",
-    "c_b",
-    "e_b_ar",
-    "v_b3_11",
-    "v_b3_12",
-    "v_b3_13",
-    "v_b3_2",
-    "v_b_ar",
-]
-
-
-def truncated_filter(a: float, c_u: float, sigma_e2=1.0, kurtosis=3.0) -> FilterSpec:
-    """Finite-impulse surrogate of the double-pole filter, tail below 1e-12.
-
-    Routing it through the explicit-sequence paths turns every closed form
-    into an independently summed series oracle.
-    """
-    base = FilterSpec(SecondOrderAR(a=a, c_u=c_u), sigma_e2=sigma_e2)
-    h = impulse_response(base, 1e-12)
-    return FilterSpec(ImpulseSequence(h=h), sigma_e2=sigma_e2, kurtosis_ratio=kurtosis)
 
 
 def expand_c_gamma(table: np.ndarray) -> np.ndarray:
@@ -251,22 +227,23 @@ class TestEtaStar:
         theta = np.exp(-0.35 * np.arange(1, 13)) * 5.0
         for spec in (KernelSpec.tc(), KernelSpec.ss()):
             star = eta_star(spec, theta)
-            _, grad = prior_fit_cost(star, theta, spec)
+            _, grad = eb_cost(star, theta, np.eye(theta.size), 0.0, spec)
             assert np.linalg.norm(grad) <= 1e-6
 
     def test_tc_matches_grid_oracle(self):
         theta = np.exp(-0.3 * np.arange(1, 11)) * 4.0
         spec = KernelSpec.tc()
         star = eta_star(spec, theta)
+        eye = np.eye(theta.size)
         c_grid = np.logspace(-3, 3, 100)
         al_grid = 1.0 / (1.0 + np.exp(-np.linspace(-8, 8, 100)))
         best, arg = np.inf, None
         for c in c_grid:
             for al in al_grid:
-                value, _ = prior_fit_cost(np.array([c, al]), theta, spec)
+                value, _ = eb_cost(np.array([c, al]), theta, eye, 0.0, spec)
                 if value < best:
                     best, arg = value, (c, al)
-        found, _ = prior_fit_cost(star, theta, spec)
+        found, _ = eb_cost(star, theta, eye, 0.0, spec)
         assert found <= best + 1e-9
         # within one grid cell of the discrete optimum
         assert abs(math.log(star[0] / arg[0])) <= math.log(c_grid[1] / c_grid[0]) * 1.5
@@ -331,7 +308,7 @@ class TestHyperParameterLaw:
             for m in range(p):
                 ekk, emm = np.zeros(p), np.zeros(p)
                 ekk[k], emm[m] = steps[k], steps[m]
-                f = lambda e: prior_fit_cost(e, theta, spec)[0]
+                f = lambda e: eb_cost(e, theta, np.eye(theta.size), 0.0, spec)[0]
                 hess[k, m] = (
                     f(star + ekk + emm)
                     - f(star + ekk - emm)
@@ -558,11 +535,15 @@ class TestExpansionIdentities:
         rng = derive_stream(seed, 2, 0)
         u = generate_input(filt, n, n_samples, rng)
         noise = NoiseSpec(1.0)
-        data = build_dataset(system, u, noise, rng, noise_free=noise_free)
+        if noise_free:
+            data = noise_free_dataset(system, u)
+        else:
+            data = build_dataset(system, u, noise, rng)
         fit = eb_estimate(data, spec)
-        sigma = sigma_matrix(filt, n)
+        sigma_inv = second_order_stats(filt, n).sigma_inv
         star = eta_star(spec, system.theta0)
-        terms = expansion_terms(data, fit, sigma, star, noise.sigma2)
+        p_inv = hyper_parameter_law(spec, system.theta0, star, sigma_inv, noise.sigma2).p_inv
+        terms = expansion_terms(data, fit, spec, sigma_inv, p_inv, noise.sigma2)
         return system, fit, terms
 
     @pytest.mark.parametrize(
@@ -588,8 +569,9 @@ class TestExpansionIdentities:
         filt = FilterSpec(SecondOrderAR(a=0.05, c_u=1.0))
         spec = KernelSpec.ridge()
         noise = NoiseSpec(1.0)
-        sigma = sigma_matrix(filt, n)
+        sigma_inv = second_order_stats(filt, n).sigma_inv
         star = eta_star(spec, system.theta0)
+        p_inv = hyper_parameter_law(spec, system.theta0, star, sigma_inv, 1.0).p_inv
         norms = {}
         for n_samples in (1000, 4000):
             acc = np.zeros(n)
@@ -598,7 +580,7 @@ class TestExpansionIdentities:
                 u = generate_input(filt, n, n_samples, rng)
                 data = build_dataset(system, u, noise, rng)
                 fit = eb_estimate(data, spec)
-                acc += expansion_terms(data, fit, sigma, star, 1.0).theta_b3
+                acc += expansion_terms(data, fit, spec, sigma_inv, p_inv, 1.0).theta_b3
             norms[n_samples] = np.linalg.norm(acc / records)
         assert norms[4000] <= norms[1000] / 1.3
 

@@ -15,6 +15,7 @@ from firasym import (
     NoiseSpec,
     OptimizerOptions,
     OutOfBoxError,
+    RankDeficientError,
     SecondOrderAR,
     build_dataset,
     derive_stream,
@@ -27,6 +28,7 @@ from firasym import (
     noise_variance_estimate,
     rls_estimate,
 )
+from oracles import noise_free_dataset
 
 ALL_SPECS = [KernelSpec.ridge(), KernelSpec.tc(), KernelSpec.ss(), KernelSpec.dc()]
 
@@ -165,7 +167,7 @@ class TestLeastSquares:
         u = generate_input(
             FilterSpec(SecondOrderAR(a=0.3, c_u=1.0)), 6, 100, derive_stream(1, 2, 0)
         )
-        data = build_dataset(system, u, NoiseSpec(1.0), derive_stream(1, 2, 1), noise_free=True)
+        data = noise_free_dataset(system, u)
         theta = ls_estimate(data)
         np.testing.assert_allclose(theta, system.theta0, rtol=1e-10)
 
@@ -191,8 +193,16 @@ class TestNoiseVariance:
         u = generate_input(
             FilterSpec(SecondOrderAR(a=0.2, c_u=1.0)), 5, 80, derive_stream(4, 2, 0)
         )
-        data = build_dataset(system, u, NoiseSpec(1.0), derive_stream(4, 2, 1), noise_free=True)
+        data = noise_free_dataset(system, u)
         assert noise_variance_estimate(data) <= 1e-16
+
+    def test_no_degrees_of_freedom_is_refused(self):
+        # N == n: the least-squares fit interpolates and N - n is zero
+        system = generate_t1(4, derive_stream(8, 1, 0))
+        u = derive_stream(8, 2, 0).standard_normal(2 * 4 - 1)
+        data = build_dataset(system, u, NoiseSpec(1.0), derive_stream(8, 2, 1))
+        with pytest.raises(RankDeficientError, match=r"N=4, n=4"):
+            eb_estimate(data, KernelSpec.tc())
 
     def test_degrees_of_freedom_denominator(self):
         data = make_record(seed=5, n=20, n_samples=30)

@@ -1,0 +1,40 @@
+"""The package exports only what the program itself uses: every name that
+``firasym/__init__.py`` imports is referenced by another firasym module or
+by the benchmark's scripts.  Reference code that only the tests read lives
+in tests/oracles.py instead.  A reference is a name, an attribute or an
+import in the syntax tree; a docstring or comment does not count."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "firasym"
+
+
+def exported_names() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def referenced_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_every_export_is_used_by_the_program():
+    users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    users += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(referenced_names(path) for path in users))
+    assert sorted(exported_names() - used) == []

@@ -316,7 +316,8 @@ class TestPersistence:
         write_records_csv(path, out.records, config.kernel.p, {"seed": 99})
         back = read_records_csv(path)
         assert back == out.records
-        rebuilt = aggregate_records(config, back, experiment_theory(config))
+        excluded = [0] * len(config.filters)
+        rebuilt = aggregate_records(config, back, experiment_theory(config), excluded)
         for rebuilt_agg, agg in zip(rebuilt, out.aggregates):
             for key, value in vars(agg).items():
                 other = vars(rebuilt_agg)[key]
