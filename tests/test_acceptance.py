@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import firasym.estimators as est
 from firasym import (
@@ -25,7 +24,6 @@ from firasym import (
     eta_star,
     generate_input,
     generate_t1,
-    lag_matrix,
     ls_estimate,
     noise_variance_estimate,
     ridge_report,
@@ -34,7 +32,6 @@ from firasym import (
     table1,
     hyper_parameter_law,
     ls_error_covariances,
-    regularized_error_moments,
 )
 from firasym.cli import main
 from oracles import REPORT_FIELDS, expansion_terms, truncated_filter

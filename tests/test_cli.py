@@ -653,6 +653,9 @@ def test_import_defaults_blas_threads_to_one(preset):
 # input, and scipy.ndimage by nothing; `asym` and `sweep` must not pay for
 # importing them.
 INPUT_ONLY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.ndimage")
+# scipy.optimize and scipy.special serve only the hyper-parameter search,
+# which the closed-form ridge theory of `sweep` and a ridge `asym` skips.
+SEARCH_ONLY_SCIPY = ("scipy.optimize", "scipy.special")
 
 
 def fresh_process_run(*commands):
@@ -688,6 +691,7 @@ def test_asym_and_sweep_import_no_input_modules(tmp_path):
     )
     assert codes == [0, 0]
     assert modules.isdisjoint(INPUT_ONLY_SCIPY)
+    assert modules.isdisjoint(SEARCH_ONLY_SCIPY)
 
 
 def test_mc_loads_the_input_filter_on_demand(tmp_path):
@@ -697,6 +701,13 @@ def test_mc_loads_the_input_filter_on_demand(tmp_path):
     )
     assert codes == [0]
     assert "scipy.signal" in modules
+
+
+def test_tc_asym_loads_the_search_on_demand(tmp_path):
+    cfg = write_config(tmp_path, dict(CRITERION_9_ASYM, kernel={"family": "tc"}))
+    codes, modules = fresh_process_run(["asym", "--config", cfg, "--out", str(tmp_path)])
+    assert codes == [0]
+    assert "scipy.optimize" in modules
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")

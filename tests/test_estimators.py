@@ -13,7 +13,6 @@ from firasym import (
     FirSystem,
     KernelSpec,
     NoiseSpec,
-    OptimizerOptions,
     OutOfBoxError,
     RankDeficientError,
     SecondOrderAR,
