@@ -63,7 +63,6 @@ from .signals import (
     Dataset,
     FilterSpec,
     FirSystem,
-    ImpulseSequence,
     NoiseSpec,
     SecondOrderAR,
     autocovariance,

@@ -32,12 +32,7 @@ from .estimators import (
     kernel_matrix,
     minimize_box,
 )
-from .signals import (
-    FilterSpec,
-    NoiseSpec,
-    SecondOrderAR,
-    autocovariance,
-)
+from .signals import FilterSpec, NoiseSpec, autocovariance
 
 
 @dataclass
@@ -145,7 +140,7 @@ def sigma_matrix(filt: FilterSpec, n: int) -> np.ndarray:
 
 def _f_gamma(a: float, x: np.ndarray) -> np.ndarray:
     """Series kernel of the double-pole filter: for integer x >= 0,
-    sum_tau R_u(tau) R_u(tau + x) = c_u^4 sigma_e^4 f(x) / (1-a^2)^6."""
+    sum_tau R_u(tau) R_u(tau + x) = c_u^4 f(x) / (1-a^2)^6."""
     x = np.asarray(x, dtype=float)
     one = 1.0 - a * a
     t1 = (2.0 * a ** (x + 2) / one) * ((1 - x) * a**4 + (5 - x) * a**2 + 4 + 2 * x)
@@ -164,43 +159,20 @@ def c_gamma(filt: FilterSpec, n: int) -> np.ndarray:
     it; :func:`gram_contraction` applies C without forming it.
     """
     excess = filt.kurtosis_ratio - 3.0
-    kind = filt.kind
-    if isinstance(kind, SecondOrderAR):
-        a, c_u = kind.a, kind.c_u
-        se2 = filt.sigma_e2
-        k = np.arange(n, dtype=float)[:, None]
-        l = np.arange(n, dtype=float)[None, :]
-        one = 1.0 - a * a
-        first = (
-            c_u**4
-            * excess
-            * se2**2
-            * a ** (k + l)
-            / one**6
-            * (k * one + 1 + a * a)
-            * (l * one + 1 + a * a)
-        )
-        second = (
-            c_u**4 * se2**2 / one**6 * (_f_gamma(a, np.abs(k - l)) + _f_gamma(a, k + l))
-        )
-        return first + second
-    # explicit impulse response: every lag series has finite support
-    support = kind.h.size  # R_u vanishes for |tau| >= support
-    r_len = support + 2 * n
-    r = np.array([autocovariance(filt, t) for t in range(r_len)])
-
-    def lag_sum(x: int) -> float:
-        total = 0.0
-        for tau in range(-(support - 1), support):
-            other = abs(tau + x)
-            if other < support:
-                total += r[abs(tau)] * r[other]
-        return total
-
-    sums = np.array([lag_sum(x) for x in range(2 * n - 1)])
-    ki = np.arange(n)[:, None]
-    li = np.arange(n)[None, :]
-    return excess * r[ki] * r[li] + sums[np.abs(ki - li)] + sums[ki + li]
+    a, c_u = filt.kind.a, filt.kind.c_u
+    k = np.arange(n, dtype=float)[:, None]
+    l = np.arange(n, dtype=float)[None, :]
+    one = 1.0 - a * a
+    first = (
+        c_u**4
+        * excess
+        * a ** (k + l)
+        / one**6
+        * (k * one + 1 + a * a)
+        * (l * one + 1 + a * a)
+    )
+    second = c_u**4 / one**6 * (_f_gamma(a, np.abs(k - l)) + _f_gamma(a, k + l))
+    return first + second
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,15 +418,11 @@ def ridge_report(
 ) -> AsymptoticReport:
     """Fully closed-form report for the ridge kernel (no optimizer).
 
-    Requires a double-pole (or white-noise) input filter so that Sigma and
-    the Gram fourth moments are available in closed form.  ``stats`` may
-    carry precomputed input statistics when sweeping many truths over the
-    same filter.  The report holds only N-independent blocks, so the report
-    at another record length is ``dataclasses.replace(report, n_samples=M)``,
-    without recomputing them.
+    ``stats`` may carry precomputed input statistics when sweeping many
+    truths over the same filter.  The report holds only N-independent
+    blocks, so the report at another record length is
+    ``dataclasses.replace(report, n_samples=M)``, without recomputing them.
     """
-    if not isinstance(filt.kind, SecondOrderAR):
-        raise ValueError("closed-form report needs a SecondOrderAR filter")
     theta0 = np.asarray(theta0, dtype=float)
     n = theta0.size
     s = float(theta0 @ theta0)

@@ -109,8 +109,9 @@ def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def _field(cfg: _Config, path: str, kind, required: bool = True, default=None):
-    """The value at dotted ``path``, type-checked as ``kind``; found, it is read."""
+def _field(cfg: _Config, path: str, expected, required: bool = True, default=None):
+    """The value at dotted ``path``, type-checked as ``expected``; once found,
+    it counts as read."""
     node = cfg
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
@@ -120,14 +121,14 @@ def _field(cfg: _Config, path: str, kind, required: bool = True, default=None):
         node = node[part]
     cfg.read.add(tuple(path.split(".")))
     if isinstance(node, bool):  # JSON true/false would pass as the int 1/0
-        raise ConfigError(f"field {path}: expected {kind.__name__}")
-    if kind is float and isinstance(node, int):
+        raise ConfigError(f"field {path}: expected {expected.__name__}")
+    if expected is float and isinstance(node, int):
         node = float(node)
-    if kind is int and isinstance(node, float) and node.is_integer():
+    if expected is int and isinstance(node, float) and node.is_integer():
         node = int(node)
-    if not isinstance(node, kind):
-        raise ConfigError(f"field {path}: expected {kind.__name__}")
-    if kind is float and not math.isfinite(node):  # json reads NaN and Infinity
+    if not isinstance(node, expected):
+        raise ConfigError(f"field {path}: expected {expected.__name__}")
+    if expected is float and not math.isfinite(node):  # json reads NaN and Infinity
         raise ConfigError(f"field {path}: expected a finite number")
     return node
 
@@ -233,11 +234,8 @@ def _noise_from_config(cfg: _Config) -> NoiseSpec:
 def _filter_from_config(cfg: _Config) -> FilterSpec:
     a = _field(cfg, "filter.a", float)
     cu2 = _field(cfg, "filter.cu2", float)
-    sigma_e2 = _field(cfg, "filter.sigma_e2", float, required=False, default=1.0)
     kurt = _field(cfg, "filter.kurtosis_ratio", float, required=False, default=3.0)
-    return _build(
-        lambda: FilterSpec(SecondOrderAR(a, math.sqrt(cu2)), sigma_e2, kurt), "filter"
-    )
+    return _build(lambda: FilterSpec(SecondOrderAR(a, math.sqrt(cu2)), kurt), "filter")
 
 
 def _theta0_from_config(cfg: _Config, seed: int) -> np.ndarray:
@@ -312,7 +310,6 @@ def cmd_mc(args) -> int:
             systems=_field(cfg, "system.count", int, required=False, default=1),
             master_seed=seed,
             theta0=_finite_list(cfg, "system.theta0") if kind == "explicit" else None,
-            sigma_e2=_field(cfg, "sigma_e2", float, required=False, default=1.0),
             optimizer=_optimizer_from_config(cfg),
         )
     )

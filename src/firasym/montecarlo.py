@@ -58,7 +58,6 @@ class ExperimentConfig:
     systems: int
     master_seed: int
     theta0: np.ndarray | None = None
-    sigma_e2: float = 1.0
     optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
 
     def __post_init__(self) -> None:
@@ -78,8 +77,6 @@ class ExperimentConfig:
         noise = self.noise  # records draw Gaussian noise, so the theory must too
         if not math.isclose(noise.fourth_moment, 3.0 * noise.sigma2**2, rel_tol=1e-12):
             raise ValueError("noise.fourth_moment: expected 3 * sigma2^2 (Gaussian)")
-        if not 0.0 < self.sigma_e2 < math.inf:
-            raise ValueError("sigma_e2: expected > 0 and finite")
         if not self.filters:
             raise ValueError("filters: expected at least one (a, cu2) pair")
         self.filters = [(float(a), float(cu2)) for a, cu2 in self.filters]
@@ -188,10 +185,8 @@ def make_system(config: ExperimentConfig, system_id: int) -> FirSystem:
     return generate_t2(config.n, rng)
 
 
-def _filter_spec(config: ExperimentConfig, a: float, cu2: float) -> FilterSpec:
-    return FilterSpec(
-        kind=SecondOrderAR(a=a, c_u=math.sqrt(cu2)), sigma_e2=config.sigma_e2
-    )
+def _filter_spec(a: float, cu2: float) -> FilterSpec:
+    return FilterSpec(kind=SecondOrderAR(a=a, c_u=math.sqrt(cu2)))
 
 
 def experiment_theory(
@@ -205,7 +200,7 @@ def experiment_theory(
         eta_star(config.kernel, system.theta0, config.optimizer) for system in systems
     ]
     for coll_id, (a, cu2) in enumerate(config.filters):
-        stats = second_order_stats(_filter_spec(config, a, cu2), config.n)
+        stats = second_order_stats(_filter_spec(a, cu2), config.n)
         for sys_id, system in enumerate(systems):
             law = hyper_parameter_law(
                 config.kernel,
@@ -241,7 +236,7 @@ def _run_task(task: tuple[int, int, int]):
     rng = derive_stream(config.master_seed, _RECORD_TAG, sys_id, coll_id, rec_id)
     try:
         system = systems[sys_id]
-        filt = _filter_spec(config, a, cu2)
+        filt = _filter_spec(a, cu2)
         u = generate_input(filt, config.n, config.n_samples, rng)
         data = build_dataset(system, u, config.noise, rng)
         fit = eb_estimate(data, config.kernel, config.optimizer)

@@ -1,8 +1,8 @@
 """Filtered white-noise inputs, FIR test systems, and exact autocovariances.
 
-The input process is u(t) = sum_k h(k) e(t-k) with i.i.d. innovations e(t).
-Two filter kinds are supported: a double-pole low-pass filter with impulse
-response h(k) = c_u * (k+1) * a^k, and an explicit finite impulse sequence.
+The input process is u(t) = sum_k h(k) e(t-k) with i.i.d. unit-variance
+innovations e(t), filtered by the double-pole low-pass filter with impulse
+response h(k) = c_u * (k+1) * a^k.
 """
 
 from __future__ import annotations
@@ -47,37 +47,25 @@ class SecondOrderAR:
 
 
 @dataclass
-class ImpulseSequence:
-    """Explicit finite impulse response h(0), ..., h(K)."""
-
-    h: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.h = np.asarray(self.h, dtype=float)
-        if self.h.ndim != 1 or self.h.size == 0:
-            raise ValueError("h must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(self.h)):
-            raise ValueError("h must be finite")
-
-
-@dataclass
 class FilterSpec:
-    """Input filter together with innovation variance and kurtosis ratio.
+    """Input filter driven by unit-variance innovations, with their kurtosis
+    ratio.
 
-    kurtosis_ratio is E[e^4] / sigma_e^4 and defaults to 3 (Gaussian).  It
-    only enters fourth-moment formulas; the sample generator always draws
+    An innovation variance other than 1 is the same input as c_u scaled by
+    its square root.  kurtosis_ratio is E[e^4] and defaults to 3 (Gaussian).
+    It only enters fourth-moment formulas; the sample generator always draws
     Gaussian innovations.
     """
 
-    kind: SecondOrderAR | ImpulseSequence
-    sigma_e2: float = 1.0
+    kind: SecondOrderAR
     kurtosis_ratio: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.sigma_e2 <= 0.0:
-            raise ValueError("sigma_e2 must be positive")
-        if self.kurtosis_ratio < 1.0:
-            raise ValueError("kurtosis_ratio must be >= 1")
+        # NaN fails every comparison, so only a finite ratio >= 1 passes
+        if not 1.0 <= self.kurtosis_ratio < math.inf:
+            raise ValueError(
+                f"kurtosis_ratio must be finite and >= 1, got {self.kurtosis_ratio}"
+            )
 
 
 @dataclass
@@ -160,21 +148,11 @@ class Dataset:
 
 
 def autocovariance(filt: FilterSpec, tau: int) -> float:
-    """Input autocovariance R_u(tau) = sigma_e^2 sum_k h(k) h(k+|tau|).
-
-    Uses the exact closed form for the double-pole filter and the finite
-    sum for explicit impulse sequences.
-    """
+    """Input autocovariance R_u(tau) = sum_k h(k) h(k+|tau|), in closed form."""
     t = abs(int(tau))
-    kind = filt.kind
-    if isinstance(kind, SecondOrderAR):
-        a, c_u = kind.a, kind.c_u
-        one = 1.0 - a * a
-        return c_u**2 * filt.sigma_e2 * a**t * (2.0 / one**3 + (t - 1.0) / one**2)
-    h = kind.h
-    if t >= h.size:
-        return 0.0
-    return filt.sigma_e2 * float(np.dot(h[: h.size - t], h[t:]))
+    a, c_u = filt.kind.a, filt.kind.c_u
+    one = 1.0 - a * a
+    return c_u**2 * a**t * (2.0 / one**3 + (t - 1.0) / one**2)
 
 
 def _burn_in_length(a: float) -> int:
@@ -193,22 +171,16 @@ def generate_input(
     """
     if n < 1 or n_samples <= n:
         raise ValueError("need n >= 1 and n_samples > n")
-    length = n_samples + n - 1
-    kind = filt.kind
-    scale = math.sqrt(filt.sigma_e2)
-    if isinstance(kind, SecondOrderAR):
-        # imported here, not at module level: scipy.signal, with the
-        # scipy.stats it loads, takes ~0.4 s to import, and `sweep` and
-        # `asym` at a T1 truth filter nothing
-        from scipy.signal import lfilter
+    # imported here, not at module level: scipy.signal, with the scipy.stats
+    # it loads, takes ~0.4 s to import, and `sweep` and `asym` at a T1 truth
+    # filter nothing
+    from scipy.signal import lfilter
 
-        burn = _burn_in_length(kind.a)
-        e = rng.standard_normal(burn + length) * scale
-        den = np.array([1.0, -2.0 * kind.a, kind.a**2])
-        return lfilter(np.array([kind.c_u]), den, e)[burn:]
-    h = kind.h
-    e = rng.standard_normal(length + h.size - 1) * scale
-    return np.convolve(e, h, mode="valid")
+    kind = filt.kind
+    burn = _burn_in_length(kind.a)
+    e = rng.standard_normal(burn + n_samples + n - 1)
+    den = np.array([1.0, -2.0 * kind.a, kind.a**2])
+    return lfilter(np.array([kind.c_u]), den, e)[burn:]
 
 
 def lag_matrix(u: np.ndarray, n: int) -> np.ndarray:

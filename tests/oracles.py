@@ -1,6 +1,6 @@
 """Reference code that only the tests read: the column-stacking operator,
-a truncated impulse response that turns the double-pole closed forms into
-independently summed series, noise-free records, and the per-record
+a truncated impulse response with the finite series that check the
+double-pole closed forms against it, noise-free records, and the per-record
 expansion of the scaled estimation errors, whose two decompositions hold
 as algebraic identities on simulated data."""
 
@@ -8,15 +8,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from firasym import (
     Dataset,
     EbFit,
     FilterSpec,
     FirSystem,
-    ImpulseSequence,
     KernelSpec,
-    SecondOrderAR,
     kernel_matrix,
     lag_matrix,
 )
@@ -54,18 +53,14 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 
 def impulse_response(filt: FilterSpec, tail_tol: float) -> np.ndarray:
-    """Impulse response h(0..K) with discarded tail below tail_tol.
+    """Impulse response h(0..K) of the double-pole filter, h(k) = c_u (k+1) a^k.
 
-    K is chosen so that sum_{k>K} |h(k)| <= tail_tol * sum_{k<=K} |h(k)|.
-    For the double-pole filter the cut-off comes from the geometric tail
-    bound; explicit sequences are returned unchanged.
+    K is the first cut-off whose exact geometric tail bound gives
+    sum_{k>K} |h(k)| <= tail_tol * sum_{k<=K} |h(k)|.
     """
     if tail_tol <= 0.0:
         raise ValueError("tail_tol must be positive")
-    kind = filt.kind
-    if isinstance(kind, ImpulseSequence):
-        return kind.h.copy()
-    a, c_u = kind.a, kind.c_u
+    a, c_u = filt.kind.a, filt.kind.c_u
     # sum_{k>=m} (k+1) a^k = a^m [(m+1)(1-a) + a] / (1-a)^2, exact.
     total = 1.0 / (1.0 - a) ** 2
     cut = 0
@@ -79,15 +74,37 @@ def impulse_response(filt: FilterSpec, tail_tol: float) -> np.ndarray:
     return c_u * (k + 1) * a**k
 
 
-def truncated_filter(a: float, c_u: float, sigma_e2: float = 1.0) -> FilterSpec:
-    """Finite-impulse surrogate of the double-pole filter, tail below 1e-12.
+def series_autocovariance(h: np.ndarray, tau: int) -> float:
+    """R_u(tau) = sum_k h(k) h(k+|tau|) of the input driven through the
+    finite impulse response ``h`` by unit-variance innovations."""
+    t = abs(tau)
+    if t >= h.size:
+        return 0.0
+    return float(np.dot(h[: h.size - t], h[t:]))
 
-    Routing it through the explicit-sequence paths turns every closed form
-    into an independently summed series oracle.
+
+def series_sigma(h: np.ndarray, n: int) -> np.ndarray:
+    """Toeplitz input covariance Sigma of order n, summed from ``h``."""
+    return toeplitz([series_autocovariance(h, t) for t in range(n)])
+
+
+def series_c_gamma(h: np.ndarray, n: int, kurtosis_ratio: float = 3.0) -> np.ndarray:
+    """Lag table of the Gram fourth-moment matrix, summed from ``h``.
+
+    Bartlett's formula gives table[k, l] = (kurtosis_ratio - 3) r_k r_l
+    + S(|k-l|) + S(k+l), where S(x) = sum_tau r_tau r_{tau+x} and r is the
+    autocovariance, which vanishes beyond the support of ``h``.
     """
-    base = FilterSpec(SecondOrderAR(a=a, c_u=c_u), sigma_e2=sigma_e2)
-    h = impulse_response(base, 1e-12)
-    return FilterSpec(ImpulseSequence(h=h), sigma_e2=sigma_e2)
+    # r is zero past the support of h, so the padding adds only zero products
+    r = np.array([series_autocovariance(h, t) for t in range(h.size + n)])
+    two_sided = np.concatenate([r[:0:-1], r])
+    sums = np.array(
+        [np.dot(two_sided[: two_sided.size - x], two_sided[x:]) for x in range(2 * n - 1)]
+    )
+    k = np.arange(n)[:, None]
+    l = np.arange(n)[None, :]
+    excess = kurtosis_ratio - 3.0
+    return excess * np.outer(r[:n], r[:n]) + sums[np.abs(k - l)] + sums[k + l]
 
 
 def noise_free_dataset(system: FirSystem, u: np.ndarray) -> Dataset:

@@ -34,7 +34,13 @@ from firasym import (
     ls_error_covariances,
 )
 from firasym.cli import main
-from oracles import REPORT_FIELDS, expansion_terms, truncated_filter
+from oracles import (
+    REPORT_FIELDS,
+    expansion_terms,
+    impulse_response,
+    series_c_gamma,
+    series_sigma,
+)
 
 SEED = 20240811
 
@@ -75,11 +81,13 @@ def test_criterion_2_closed_forms_vs_series():
     worst = 0.0
     n = 20
     for a in [0.0, 0.3, 0.5, 0.7, 0.95]:
-        closed_filt = FilterSpec(SecondOrderAR(a=a, c_u=1.1), sigma_e2=0.9)
-        series_filt = truncated_filter(a, 1.1, 0.9)
-        for fn in (sigma_matrix, c_gamma):
-            closed = fn(closed_filt, n)
-            series = fn(series_filt, n)
+        # innovation variance 0.9, folded into the filter gain
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=1.1 * math.sqrt(0.9)))
+        h = impulse_response(filt, 1e-12)
+        for closed, series in (
+            (sigma_matrix(filt, n), series_sigma(h, n)),
+            (c_gamma(filt, n), series_c_gamma(h, n, filt.kurtosis_ratio)),
+        ):
             scale = np.max(np.abs(series))
             worst = max(worst, float(np.max(np.abs(closed - series)) / scale))
     report(2, "closed forms vs series", worst <= 1e-8, time.time() - start, 30,

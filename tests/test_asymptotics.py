@@ -39,8 +39,10 @@ from firasym.montecarlo import _SYSTEM_TAG
 from oracles import (
     REPORT_FIELDS,
     expansion_terms,
+    impulse_response,
     noise_free_dataset,
-    truncated_filter,
+    series_c_gamma,
+    series_sigma,
     unvec,
     vec,
 )
@@ -62,9 +64,9 @@ def random_theta(rng, n=20, norm=10.0) -> np.ndarray:
 
 class TestSigmaMatrix:
     def test_white_noise_is_scaled_identity(self):
-        filt = FilterSpec(SecondOrderAR(a=0.0, c_u=1.5), sigma_e2=0.4)
+        filt = FilterSpec(SecondOrderAR(a=0.0, c_u=1.5))
         np.testing.assert_allclose(
-            sigma_matrix(filt, 6), 1.5**2 * 0.4 * np.eye(6), rtol=0, atol=0
+            sigma_matrix(filt, 6), 1.5**2 * np.eye(6), rtol=0, atol=0
         )
 
     @pytest.mark.parametrize(
@@ -76,9 +78,9 @@ class TestSigmaMatrix:
 
     @pytest.mark.parametrize("a", [0.3, 0.7, 0.95])
     def test_closed_form_matches_series(self, a):
-        closed = sigma_matrix(FilterSpec(SecondOrderAR(a=a, c_u=1.1), sigma_e2=0.9), 12)
-        series = sigma_matrix(truncated_filter(a, 1.1, 0.9), 12)
-        np.testing.assert_allclose(closed, series, rtol=1e-8)
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=1.1 * math.sqrt(0.9)))
+        series = series_sigma(impulse_response(filt, 1e-12), 12)
+        np.testing.assert_allclose(sigma_matrix(filt, 12), series, rtol=1e-8)
 
     def test_scale_covariance_of_condition_number(self):
         base = second_order_stats(FilterSpec(SecondOrderAR(a=0.6, c_u=1.0)), 10)
@@ -108,9 +110,15 @@ class TestGramFourthMoments:
 
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
     def test_closed_form_matches_series(self, a):
-        closed = c_gamma(FilterSpec(SecondOrderAR(a=a, c_u=0.8), sigma_e2=1.3), 3)
-        series = c_gamma(truncated_filter(a, 0.8, 1.3), 3)
-        np.testing.assert_allclose(closed, series, rtol=1e-8)
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=0.8 * math.sqrt(1.3)))
+        series = series_c_gamma(impulse_response(filt, 1e-12), 3)
+        np.testing.assert_allclose(c_gamma(filt, 3), series, rtol=1e-8)
+
+    @pytest.mark.parametrize("kurtosis_ratio", [1.0, 9.0])
+    def test_excess_kurtosis_matches_series(self, kurtosis_ratio):
+        filt = FilterSpec(SecondOrderAR(a=0.6, c_u=0.8), kurtosis_ratio=kurtosis_ratio)
+        series = series_c_gamma(impulse_response(filt, 1e-12), 4, kurtosis_ratio)
+        np.testing.assert_allclose(c_gamma(filt, 4), series, rtol=1e-8)
 
     def test_non_gaussian_innovations_shift_first_term(self):
         filt3 = FilterSpec(SecondOrderAR(a=0.5, c_u=1.0), kurtosis_ratio=3.0)
@@ -143,7 +151,7 @@ class TestGramContraction:
     @pytest.mark.parametrize("a", [0.0, 0.3])
     @pytest.mark.parametrize("n", [3, 10, 20])
     def test_matches_dense_product(self, n, a, dtype):
-        table = c_gamma(FilterSpec(SecondOrderAR(a=a, c_u=1.1), sigma_e2=0.9), n)
+        table = c_gamma(FilterSpec(SecondOrderAR(a=a, c_u=1.1 * math.sqrt(0.9))), n)
         dense = expand_c_gamma(table).astype(dtype)
         rng = np.random.default_rng(n)
         mat = rng.standard_normal((n, n)).astype(dtype)

@@ -43,7 +43,7 @@ def write_config(tmp_path, payload, name="config.json"):
 ASYM_CONFIG = {
     "kernel": {"family": "ridge"},
     "theta0": [2.0, -1.0, 0.5, 1.5],
-    "filter": {"a": 0.0, "cu2": 4.0, "sigma_e2": 0.5},
+    "filter": {"a": 0.0, "cu2": 2.0},
     "noise": {"sigma2": 2.0},
     "N": 1000,
 }
@@ -80,7 +80,7 @@ class TestAsymCommand:
         theta = np.array(ASYM_CONFIG["theta0"])
         n = theta.size
         sigma2 = ASYM_CONFIG["noise"]["sigma2"]
-        input_var = ASYM_CONFIG["filter"]["cu2"] * ASYM_CONFIG["filter"]["sigma_e2"]
+        input_var = ASYM_CONFIG["filter"]["cu2"]
         expected = 4.0 * sigma2 * float(theta @ theta) / (n**2 * input_var)
         assert doc["report"]["v_b_h"][0][0] == pytest.approx(expected, rel=1e-10)
         assert doc["header"]["seed"] == 0
@@ -123,6 +123,24 @@ class TestAsymCommand:
         args = [command, "--config", cfg, "--override", "noise.sigam2=2.0"]
         assert main(args + ["--out", str(tmp_path)]) == 2
         assert "field noise.sigam2:" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "command, config, change, path",
+        [
+            ("asym", ASYM_CONFIG, {"filter": {"a": 0.0, "cu2": 2.0, "sigma_e2": 1.0}},
+             "filter.sigma_e2"),
+            ("mc", MC_CONFIG, {"sigma_e2": 1.0}, "sigma_e2"),
+        ],
+        ids=["asym", "mc"],
+    )
+    def test_innovation_variance_is_not_a_key(
+        self, tmp_path, capsys, command, config, change, path
+    ):
+        # the innovations have unit variance; another variance goes into cu2
+        cfg = write_config(tmp_path, dict(config, **change))
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"field {path}: not read by this command" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize(
@@ -183,7 +201,8 @@ class TestAsymCommand:
         [
             ({"noise": {"sigma2": 1e200}}, 2, "field noise: sigma2"),
             ({"filter": {"a": 0.0, "cu2": 1e160}}, 3, "numerical failure"),
-            ({"filter": {"a": 0.0, "cu2": 4.0, "sigma_e2": 1e200}}, 3, "numerical failure"),
+            # a noise variance whose square is finite, but not its cube
+            ({"noise": {"sigma2": 1e150}}, 3, "numerical failure"),
         ],
     )
     def test_overflow_is_an_exit_code(self, tmp_path, capsys, change, code, message):
@@ -305,8 +324,9 @@ class TestMcCommand:
             # records draw Gaussian noise, whose fourth moment is 3 sigma2^2
             ({"noise": {"sigma2": 1.0, "fourth_moment": 30.0}}, "noise.fourth_moment"),
             ({"noise": {"sigma2": 1.0, "fourth_moment": 1.5}}, "noise.fourth_moment"),
+            # the innovations have unit variance: the key is refused, even at 1
             ({"sigma_e2": 0.0}, "sigma_e2"),
-            ({"sigma_e2": -1.0}, "sigma_e2"),
+            ({"sigma_e2": 1.0}, "sigma_e2"),
             ({"filters": []}, "filters"),
             ({"system": {"type": "explicit", "theta0": [1.0] * 5}}, "system.theta0"),
             # misspelled keys are refused, not left at their defaults
@@ -713,13 +733,18 @@ def test_tc_asym_loads_the_search_on_demand(tmp_path):
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 
-def readme_config(heading: str) -> dict:
-    """The first JSON block below ``heading`` in README.md."""
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block below ``heading`` in README.md."""
     with open(README) as handle:
         text = handle.read()
     section = text[text.index(f"\n{heading}\n") :]
-    start = section.index("```json\n") + len("```json\n")
-    return json.loads(section[start : section.index("```", start)])
+    fence = f"```{language}\n"
+    start = section.index(fence) + len(fence)
+    return section[start : section.index("```", start)]
+
+
+def readme_config(heading: str) -> dict:
+    return json.loads(readme_block(heading, "json"))
 
 
 @pytest.mark.parametrize(
@@ -735,3 +760,10 @@ def test_readme_config_runs(tmp_path, heading, command, overrides):
     cfg = write_config(tmp_path, readme_config(heading))
     extra = [arg for item in overrides for arg in ("--override", item)]
     assert main([command, "--config", cfg, "--out", str(tmp_path), *extra]) == 0
+
+
+def test_readme_library_example_runs(capsys):
+    # a removed export or parameter must not leave the example stale
+    code = compile(readme_block("## Library example", "python"), README, "exec")
+    exec(code, {})
+    assert capsys.readouterr().out.strip()

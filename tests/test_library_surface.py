@@ -2,7 +2,9 @@
 ``firasym/__init__.py`` imports is referenced by another firasym module or
 by the benchmark's scripts.  Reference code that only the tests read lives
 in tests/oracles.py instead.  A reference is a name, an attribute or an
-import in the syntax tree; a docstring or comment does not count."""
+import in the syntax tree; a docstring or comment does not count, and
+neither does a name inside a parameter, return or variable annotation,
+which a type checker reads but the program does not."""
 
 import ast
 from pathlib import Path
@@ -21,9 +23,24 @@ def exported_names() -> set[str]:
     }
 
 
+def annotation_nodes(tree: ast.AST) -> set[int]:
+    """The ids of every node inside a parameter, return or variable annotation."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+    return {id(sub) for root in roots if root is not None for sub in ast.walk(root)}
+
+
 def referenced_names(path: Path) -> set[str]:
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    tree = ast.parse(path.read_text())
+    skip = annotation_nodes(tree)
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):

@@ -178,10 +178,11 @@ class TestRunExperiment:
             # the records draw Gaussian noise
             ({"noise": NoiseSpec(1.0, fourth_moment=30.0)}, "noise.fourth_moment"),
             ({"noise": NoiseSpec(2.0, fourth_moment=12.0 + 1e-9)}, "noise.fourth_moment"),
-            ({"sigma_e2": 0.0}, "sigma_e2"),
-            ({"sigma_e2": -1.0}, "sigma_e2"),
-            ({"sigma_e2": math.nan}, "sigma_e2"),
-            ({"sigma_e2": math.inf}, "sigma_e2"),
+            # a repeated pair, a negative pole, and a NaN pole or gain
+            ({"filters": [(0.1, 0.5), (0.1, 0.5)]}, "filters[1]"),
+            ({"filters": [(-0.1, 0.5)]}, "filters[0]"),
+            ({"filters": [(math.nan, 0.5)]}, "filters[0]"),
+            ({"filters": [(0.1, math.nan)]}, "filters[0]"),
             ({"filters": []}, "filters"),
             ({"filters": [(0.1, 0.5), (1.0, 0.5)]}, "filters[1]"),
             ({"filters": [(0.1, 0.0)]}, "filters[0]"),
@@ -402,7 +403,7 @@ class TestTheoryPath:
             report = asymptotic_report(
                 config.kernel,
                 montecarlo.make_system(config, sys_id).theta0,
-                montecarlo._filter_spec(config, *config.filters[coll_id]),
+                montecarlo._filter_spec(*config.filters[coll_id]),
                 config.noise,
                 config.n_samples,
                 config.optimizer,
