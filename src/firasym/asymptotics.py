@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfBoxError, SingularHessianWarning
 from .estimators import (
@@ -135,7 +135,9 @@ class AsymptoticReport:
 
 def sigma_matrix(filt: FilterSpec, n: int) -> np.ndarray:
     """Toeplitz input covariance with entries R_u(|i-j|)."""
-    return toeplitz(np.array([autocovariance(filt, t) for t in range(n)]))
+    r = np.array([autocovariance(filt, t) for t in range(n)])
+    idx = np.arange(n)
+    return r[np.abs(idx[:, None] - idx[None, :])]
 
 
 def _f_gamma(a: float, x: np.ndarray) -> np.ndarray:
@@ -175,38 +177,82 @@ def c_gamma(filt: FilterSpec, n: int) -> np.ndarray:
     return first + second
 
 
+# float64 elements per slab of _toeplitz_matvec's products: a few lag-table
+# rows at a time keep its temporaries in cache and its memory O(n^2)
+_SLAB_ELEMENTS = 2**15
+
+
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split a = high + low, exact, each part holding at most half
-    the significand bits of a's dtype, so the product of two parts is exact."""
-    bits = np.finfo(a.dtype).nmant + 1
-    scaled = a * a.dtype.type(2 ** ((bits + 1) // 2) + 1)
+    """Dekker's split of float64 a = high + low, exact for |a| < 2**996, each
+    part holding at most 26 significant bits, so the product of two parts is
+    exact."""
+    scaled = a * 134217729.0  # 2**27 + 1
     high = scaled - (scaled - a)
     return high, a - high
 
 
 def _toeplitz_matvec(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """w[k] = toeplitz(table[k]) @ x for every k, as accurate as if summed in
-    twice the precision of x: Ogita, Rump and Oishi's Dot2, with error-free
-    products and sums whose rounding errors are accumulated apart."""
+    twice float64 precision, returned in the dtype of x.
+
+    x (float64, or a long double with a 64-bit significand) splits exactly
+    into float64 parts x_hi + x_lo.  Every product table * x_hi is formed
+    error-free (Dekker, Numer. Math. 18, 1971) and summed over j by
+    error-free additions, pairwise; the rounding errors, with the small
+    products table * x_lo, are accumulated apart (Ogita, Rump and Oishi's
+    Dot2, SIAM J. Sci. Comput. 26(6), 2005).  Table and x are first scaled
+    by powers of two, which is exact, so that no split can overflow.
+    """
     n = x.size
-    # ext[:, n - 1 + m] = table[:, |m|], so column j of every block is a slice
-    ext = np.concatenate([table[:, :0:-1], table], axis=1).astype(x.dtype)
-    ext_hi, ext_lo = _split(ext)
-    x_hi, x_lo = _split(x)
-    total = np.zeros(table.shape, dtype=x.dtype)
-    err = np.zeros_like(total)
-    for j in range(n):
-        cols = slice(n - 1 - j, 2 * n - 1 - j)
-        a, a_hi, a_lo = ext[:, cols], ext_hi[:, cols], ext_lo[:, cols]
-        prod = a * x[j]
-        err += a_lo * x_lo[j] - (
-            ((prod - a_hi * x_hi[j]) - a_lo * x_hi[j]) - a_hi * x_lo[j]
-        )
-        new = total + prod
-        part = new - total
-        err += (total - (new - part)) + (prod - part)
-        total = new
-    return total + err
+    t_exp = np.frexp(np.max(np.abs(table)))[1]
+    x_exp = np.frexp(np.max(np.abs(x)))[1]
+    # ext[:, n - 1 + m] = table[:, |m|] / 2**t_exp, and its windows are
+    # win[i, k, r] = ext[k, r + i] = table[k, |r - j|] / 2**t_exp, j = n - 1 - i
+    ext = np.ldexp(np.concatenate([table[:, :0:-1], table], axis=1), -t_exp)
+    windows = [
+        sliding_window_view(part, n, axis=1).transpose(2, 0, 1)
+        for part in (ext, *_split(ext))
+    ]
+    x_rev = np.ldexp(x[::-1], -x_exp)[:, None, None]
+    x_hi = x_rev.astype(np.float64)
+    x_lo = (x_rev - x_hi).astype(np.float64)
+    xh_hi, xh_lo = _split(x_hi)
+    total = np.empty(table.shape)
+    err = np.empty(table.shape)
+    rows = max(1, _SLAB_ELEMENTS // (n * n))
+    for start in range(0, n, rows):
+        a, a_hi, a_lo = (win[:, start : start + rows] for win in windows)
+        s = a * x_hi
+        # u = the rounding error of s, exactly, plus a * x_lo
+        t = a_hi * xh_hi
+        np.subtract(s, t, out=t)
+        u = a_lo * xh_hi
+        t -= u
+        np.multiply(a_hi, xh_lo, out=u)
+        t -= u
+        np.multiply(a_lo, xh_lo, out=u)
+        u -= t
+        np.multiply(a, x_lo, out=t)
+        u += t
+        e = u.sum(axis=0)
+        # fold the upper half of s onto the lower half until one term is
+        # left, adding each fold's exact rounding error (Knuth's TwoSum) to e
+        m = n
+        while m > 1:
+            keep, h = (m + 1) // 2, m // 2
+            low, high = s[:h], s[keep:m]
+            new = low + high
+            part = new - low
+            high -= part
+            part -= new
+            part += low
+            part += high
+            e += part.sum(axis=0)
+            low[...] = new
+            m = keep
+        total[start : start + rows] = s[0]
+        err[start : start + rows] = e
+    return np.ldexp(total.astype(x.dtype) + err.astype(x.dtype), t_exp + x_exp)
 
 
 def gram_contraction(table: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -217,14 +263,16 @@ def gram_contraction(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     square ``x`` is X itself: Z[k] = B[k] X and Y[:, c] = sum_d Z[|c-d|][:, d],
     O(n^4) flops and O(n^3) memory.  A vector ``x`` stands for X = x x':
     W[k] = B[k] x and Y[r, c] = sum_d W[|c-d|, r] x[d], O(n^3) flops.  The
-    arithmetic runs in the dtype of ``x``.
+    square case runs in the dtype of ``x``.
 
     In the rank-1 case x oscillates (it is Sigma^-1 applied to a vector in
     the report) while the blocks are smooth, so W keeps only a small part of
-    the digits of its terms; W is therefore summed with compensation.  In
-    plain long double, the closed-form ridge report and the generic one
-    disagree on trace(v_b_ar) by up to 4e-10 at a = 0.99, n = 20;
-    compensated, by about 1e-15.
+    the digits of its terms.  W is therefore formed in float64 error-free
+    arithmetic, as accurate as twice float64 precision, and returned in the
+    dtype of ``x``, in which the final sum over d runs.  In plain long
+    double, the closed-form ridge report and the generic one disagree on
+    trace(v_b_ar) by up to 4e-10 at a = 0.99, n = 20; with W so formed, by
+    about 1e-15.
     """
     n = table.shape[0]
     idx = np.arange(n)
@@ -328,9 +376,11 @@ def _rank1_gram_contraction(
 
     The contraction cancels by many orders of magnitude when Sigma is ill
     conditioned, which would amplify ordinary rounding differences between
-    algebraically equal formulations far beyond comparison tolerances.  It
-    is therefore evaluated in extended precision; the rank-1 vector x is
-    built inside so callers only contribute uniform (scalar-level)
+    algebraically equal formulations far beyond comparison tolerances.  So
+    x, the outer products with S and the final sum of
+    :func:`gram_contraction` run in long double, and its W in float64
+    error-free arithmetic of twice float64 precision.  The rank-1 vector x
+    is built inside so callers only contribute uniform (scalar-level)
     rounding, which the quadratic form does not amplify.
     """
     ld = np.longdouble

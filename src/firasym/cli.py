@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import traceback
 import warnings
 from json.encoder import encode_basestring_ascii
 
@@ -447,7 +448,7 @@ def _checked(kind, accept, rule: str):
 _POLE = _checked(float, lambda x: 0.0 <= x < 1.0, "in [0, 1)")
 _COUNT = _checked(int, lambda x: x >= 1, ">= 1")
 _VARIANCE = _checked(
-    float, lambda x: 0.0 < x and x * x < math.inf, "positive with a finite square"
+    float, lambda x: 0.0 < x and x * x * x < math.inf, "positive with a finite cube"
 )
 
 
@@ -534,11 +535,15 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError as exc:
+        # Python's float ** raises it with an errno tuple as its message
+        where = traceback.extract_tb(exc.__traceback__)[-1].name
+        print(f"numerical failure: float overflow in {where}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (
         FirasymError,
         SingularHessianWarning,
         FloatingPointError,
-        OverflowError,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NotPositiveDefiniteError, OutOfBoxError, RankDeficientError
@@ -381,7 +380,7 @@ def rls_estimate(data: Dataset, p_mat: np.ndarray, sigma2: float) -> np.ndarray:
     b = data.phi.T @ data.y
     inner = chol_p.T @ data.gram @ chol_p + sigma2 * np.eye(data.order)
     try:
-        w = cho_solve(cho_factor(inner), chol_p.T @ b)
+        w = _pd_solve(inner, chol_p.T @ b)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("regularized normal equations not PD") from None
     return chol_p @ w
@@ -391,9 +390,24 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _pd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """mat^-1 rhs for a PD ``mat``: the LAPACK calls behind scipy's
+    cho_factor / cho_solve, with their arguments, without their wrappers.
+    A matrix that is not PD raises LinAlgError, and a non-finite argument
+    ValueError, as those wrappers do."""
+    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    chol, info = dpotrf(mat, lower=False, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return dpotrs(chol, rhs, lower=False)[0]
+
+
 def _pd_inverse(mat: np.ndarray) -> np.ndarray:
     """Symmetrized inverse of a PD matrix via Cholesky."""
-    return _sym(cho_solve(cho_factor(mat), np.eye(mat.shape[0])))
+    return _sym(_pd_solve(mat, _eye(mat.shape[0])))
 
 
 def _noise_term(gram: np.ndarray, sigma2_hat: float) -> np.ndarray:
@@ -416,7 +430,7 @@ def _reduced_cost_grad(
     the prior-fit criterion theta' P^-1 theta + logdet P."""
     n = theta.size
     P, dP, *d2P = kernel_matrix(spec, eta, n, order=2 if hessian else 1)
-    # the LAPACK calls behind cho_factor / cho_solve, without their wrappers
+    # _pd_solve's LAPACK calls, in the lower triangle, without its checks
     chol, info = dpotrf(P + ridge_term, lower=True, clean=False)
     if info > 0:
         raise NotPositiveDefiniteError(

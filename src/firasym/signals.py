@@ -76,11 +76,12 @@ class NoiseSpec:
     fourth_moment: float | None = None
 
     def __post_init__(self) -> None:
-        # NaN fails each comparison; x * x overflows to inf where x**2 raises
+        # NaN fails each comparison; x * x overflows to inf where x**2 raises.
+        # The third-order report block v_b3_11 scales with sigma2^3
         square = self.sigma2 * self.sigma2
-        if not (0.0 < self.sigma2 and square < math.inf):
+        if not (0.0 < self.sigma2 and square * self.sigma2 < math.inf):
             raise ValueError(
-                f"sigma2 must be positive with a finite square, got {self.sigma2}"
+                f"sigma2 must be positive with a finite cube, got {self.sigma2}"
             )
         if self.fourth_moment is None:
             self.fourth_moment = 3.0 * square

@@ -1,8 +1,9 @@
 """Reference code that only the tests read: the column-stacking operator,
-a truncated impulse response with the finite series that check the
-double-pole closed forms against it, noise-free records, and the per-record
-expansion of the scaled estimation errors, whose two decompositions hold
-as algebraic identities on simulated data."""
+a column-by-column compensated Toeplitz product, a truncated impulse
+response with the finite series that check the double-pole closed forms
+against it, noise-free records, and the per-record expansion of the scaled
+estimation errors, whose two decompositions hold as algebraic identities
+on simulated data."""
 
 import math
 from dataclasses import dataclass
@@ -50,6 +51,40 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if n * n != v.size:
         raise ValueError("length is not a perfect square")
     return v.reshape((n, n), order="F")
+
+
+def toeplitz_matvec_dot2(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w[k] = toeplitz(table[k]) @ x for every k, one column j at a time, by
+    Ogita, Rump and Oishi's Dot2 in the dtype of x: error-free products and
+    sums (Dekker's split of each factor, Knuth's TwoSum) whose rounding
+    errors are accumulated apart.  In long double it is the reference for
+    the library's vectorized float64 kernel."""
+
+    def split(a):
+        bits = np.finfo(a.dtype).nmant + 1
+        scaled = a * a.dtype.type(2 ** ((bits + 1) // 2) + 1)
+        high = scaled - (scaled - a)
+        return high, a - high
+
+    n = x.size
+    # ext[:, n - 1 + m] = table[:, |m|], so column j of every block is a slice
+    ext = np.concatenate([table[:, :0:-1], table], axis=1).astype(x.dtype)
+    ext_hi, ext_lo = split(ext)
+    x_hi, x_lo = split(x)
+    total = np.zeros(table.shape, dtype=x.dtype)
+    err = np.zeros_like(total)
+    for j in range(n):
+        cols = slice(n - 1 - j, 2 * n - 1 - j)
+        a, a_hi, a_lo = ext[:, cols], ext_hi[:, cols], ext_lo[:, cols]
+        prod = a * x[j]
+        err += a_lo * x_lo[j] - (
+            ((prod - a_hi * x_hi[j]) - a_lo * x_hi[j]) - a_hi * x_lo[j]
+        )
+        new = total + prod
+        part = new - total
+        err += (total - (new - part)) + (prod - part)
+        total = new
+    return total + err
 
 
 def impulse_response(filt: FilterSpec, tail_tol: float) -> np.ndarray:

@@ -43,6 +43,7 @@ from oracles import (
     noise_free_dataset,
     series_c_gamma,
     series_sigma,
+    toeplitz_matvec_dot2,
     unvec,
     vec,
 )
@@ -193,6 +194,52 @@ class TestGramContraction:
                 mid = unvec(dense.astype(np.longdouble) @ vec(np.outer(x, x)))
                 dense_r1 = asymptotics._sym((s_ld @ mid @ s_ld).astype(float))
                 assert rel_error(matrix_free, ref) <= rel_error(dense_r1, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 81, 100])
+    def test_kernel_matches_column_loop(self, n):
+        # the vectorized float64 kernel against the long-double Dot2 loop;
+        # n = 81 and 100 end in a partial slab.  A gain c_u^2 scales the
+        # table by c_u^4 and x = Sigma^-1 theta by c_u^-2.  The table is
+        # scaled to peak c_u^4 for c_u^2 in {1e-150, 0.5, 1e150}, so that it
+        # stays finite at a strong pole, and to peak 1e307, where an
+        # unscaled split would overflow
+        ld = np.longdouble
+        idx = np.arange(n)
+        lag = np.abs(idx[:, None] - idx[None, :])
+        rng = np.random.default_rng(n)
+        for a in (0.0, 0.7, 0.99, 0.995):
+            stats = second_order_stats(FilterSpec(SecondOrderAR(a=a, c_u=1.0)), n)
+            for peak in (1e-300, 0.25, 1e300, 1e307):
+                table = stats.c_gamma * (peak / np.max(stats.c_gamma))
+                theta = rng.standard_normal(n).astype(ld)
+                x = stats.sigma_inv.astype(ld) @ theta / ld(math.sqrt(peak))
+                terms = np.abs(table)[:, lag] @ np.abs(x.astype(float))
+                for arg in (x, x.astype(float)):
+                    got = asymptotics._toeplitz_matvec(table, arg)
+                    ref = toeplitz_matvec_dot2(table, arg.astype(ld))
+                    assert np.all(np.isfinite(ref)) and got.dtype == arg.dtype
+                    # Dot2's bound: one rounding to the dtype of x, plus
+                    # n 2^-104 of the summed term magnitudes.  In long double
+                    # the two agree in all but a few entries that lie within
+                    # 0.001 ulp of a rounding midpoint
+                    tol = np.finfo(arg.dtype).eps * np.abs(ref) + n * 2.0**-104 * terms
+                    assert np.all(np.abs(got - ref) <= tol)
+
+    def test_kernel_rounds_within_an_ulp_at_a_strong_pole(self):
+        # 50-digit sums of the same float64 table and long-double x, which
+        # loses about 14 digits to cancellation when summed in long double
+        n = 20
+        filt = FilterSpec(SecondOrderAR(a=0.99, c_u=math.sqrt(0.5)))
+        stats = second_order_stats(filt, n)
+        ld = np.longdouble
+        theta = np.random.default_rng(0).standard_normal(n).astype(ld)
+        x = stats.sigma_inv.astype(ld) @ theta
+        got = asymptotics._toeplitz_matvec(stats.c_gamma, x)
+        with mpmath.workdps(50):
+            table, x_mp, got_mp = to_mp(stats.c_gamma), to_mp(x), to_mp(got)
+            for k, r in np.ndindex(n, n):
+                exact = mpmath.fsum(table[k, abs(r - j)] * x_mp[j] for j in range(n))
+                assert abs(got_mp[k, r] - exact) <= float(np.finfo(ld).eps) * abs(exact)
 
     def test_report_memory_stays_below_the_dense_matrix(self):
         # the dense n^2 x n^2 float64 matrix alone is 800 MB at n = 100

@@ -201,17 +201,27 @@ class TestAsymCommand:
         [
             ({"noise": {"sigma2": 1e200}}, 2, "field noise: sigma2"),
             ({"filter": {"a": 0.0, "cu2": 1e160}}, 3, "numerical failure"),
-            # a noise variance whose square is finite, but not its cube
-            ({"noise": {"sigma2": 1e150}}, 3, "numerical failure"),
+            # noise variances whose square is finite, but not their cube,
+            # which the third-order block v_b3_11 carries
+            ({"noise": {"sigma2": 1e150}}, 2, "field noise: sigma2"),
+            ({"noise": {"sigma2": 1e103}}, 2, "field noise: sigma2"),
         ],
     )
     def test_overflow_is_an_exit_code(self, tmp_path, capsys, change, code, message):
         # Python's float ** raises OverflowError where numpy would give inf;
-        # main returns a code, so no traceback is printed
+        # main returns a code, so no traceback is printed, nor the errno
+        # tuple that is the OverflowError's message
         cfg = write_config(tmp_path, dict(ASYM_CONFIG, **change))
         assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == code
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "out of range" not in err
         assert not (tmp_path / "asym_report.json").exists()
+
+    def test_float_overflow_names_its_function(self, tmp_path, capsys):
+        # c_u^4 in c_gamma is 1e320
+        cfg = write_config(tmp_path, dict(ASYM_CONFIG, filter={"a": 0.0, "cu2": 1e160}))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numerical failure: float overflow in c_gamma" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a zero truth pushes the analytic ridge optimum out of the box
@@ -428,7 +438,8 @@ class TestSweepCommand:
         args = ["sweep", "--grid-points", "3", "--n", "6", "--N", "100", "200"]
         assert main(args + ["--seed", "2", "--out", str(tmp_path)]) == 0
         assert calls == [6, 6, 6]
-        # one long-double contraction per pole serves both record lengths
+        # one rank-1 Gram contraction (v_b3_12) per pole serves both record
+        # lengths
         assert contractions == [(6, 6)] * 3
         # every row matches a report that builds its own statistics
         theta0 = generate_t1(6, derive_stream(2, montecarlo._SYSTEM_TAG, 0)).theta0
@@ -462,6 +473,7 @@ class TestFlagValidation:
             (["sweep", "--sigma2", "0"], "--sigma2"),
             (["sweep", "--sigma2", "inf"], "--sigma2"),
             (["sweep", "--sigma2", "1e200"], "--sigma2"),  # its square overflows
+            (["sweep", "--sigma2", "1e120"], "--sigma2"),  # its cube overflows
         ],
     )
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv, flag):

@@ -207,9 +207,11 @@ class TestValidation:
             (1.0, math.nan),
             (1.0, math.inf),
             (math.nan, 3.0),
-            # the square overflows: a ValueError, not float **'s OverflowError
+            # the square or the cube overflows: a ValueError, not float **'s
+            # OverflowError
             (1e200, None),
             (1e200, 1e300),
+            (1e103, None),
         ],
     )
     def test_non_finite_noise_rejected(self, sigma2, fourth_moment):
