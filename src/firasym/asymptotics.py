@@ -2,7 +2,9 @@
 
 Everything here is deterministic linear algebra: the stationary input
 covariance Sigma, the fourth-moment matrix of the scaled Gram deviation
-(kept as its lag table, c_gamma), the limit hyper-parameter eta_star with
+(kept as its lag table, c_gamma, and applied to a square matrix by
+gram_contraction; its rank-1 contraction v_b3_12 is summed over the lags
+of the AR(2) input instead), the limit hyper-parameter eta_star with
 its curvature (a_b) and sensitivity (b_b) blocks, the limiting covariance
 of the hyper-parameter estimate (v_b_h), the second- and third-order
 covariance blocks of the coefficient estimates, and the induced
@@ -20,7 +22,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfBoxError, SingularHessianWarning
 from .estimators import (
@@ -37,9 +38,11 @@ from .signals import FilterSpec, NoiseSpec, autocovariance
 
 @dataclass
 class SecondOrderStats:
-    """Input covariance Sigma with its inverse and eigenvalues, and the lag
-    table of the fourth-moment matrix of the scaled Gram deviation."""
+    """Input covariance Sigma of the filter ``filt`` with its inverse and
+    eigenvalues, and the lag table of the fourth-moment matrix of the scaled
+    Gram deviation."""
 
+    filt: FilterSpec
     sigma: np.ndarray
     sigma_inv: np.ndarray
     c_gamma: np.ndarray
@@ -162,124 +165,37 @@ def c_gamma(filt: FilterSpec, n: int) -> np.ndarray:
     """
     excess = filt.kurtosis_ratio - 3.0
     a, c_u = filt.kind.a, filt.kind.c_u
-    k = np.arange(n, dtype=float)[:, None]
-    l = np.arange(n, dtype=float)[None, :]
+    # an entry depends on k + l and |k - l| alone, so the powers and the
+    # series kernel are evaluated once per lag and gathered
+    lags = np.arange(2 * n - 1, dtype=float)
+    k = np.arange(n)
+    total = k[:, None] + k[None, :]
     one = 1.0 - a * a
+    ends = lags[:n] * one + 1 + a * a
     first = (
         c_u**4
         * excess
-        * a ** (k + l)
+        * (a**lags)[total]
         / one**6
-        * (k * one + 1 + a * a)
-        * (l * one + 1 + a * a)
+        * ends[:, None]
+        * ends[None, :]
     )
-    second = c_u**4 / one**6 * (_f_gamma(a, np.abs(k - l)) + _f_gamma(a, k + l))
+    f = _f_gamma(a, lags)
+    second = c_u**4 / one**6 * (f[np.abs(k[:, None] - k[None, :])] + f[total])
     return first + second
 
 
-# float64 elements per slab of _toeplitz_matvec's products: a few lag-table
-# rows at a time keep its temporaries in cache and its memory O(n^2)
-_SLAB_ELEMENTS = 2**15
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split of float64 a = high + low, exact for |a| < 2**996, each
-    part holding at most 26 significant bits, so the product of two parts is
-    exact."""
-    scaled = a * 134217729.0  # 2**27 + 1
-    high = scaled - (scaled - a)
-    return high, a - high
-
-
-def _toeplitz_matvec(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w[k] = toeplitz(table[k]) @ x for every k, as accurate as if summed in
-    twice float64 precision, returned in the dtype of x.
-
-    x (float64, or a long double with a 64-bit significand) splits exactly
-    into float64 parts x_hi + x_lo.  Every product table * x_hi is formed
-    error-free (Dekker, Numer. Math. 18, 1971) and summed over j by
-    error-free additions, pairwise; the rounding errors, with the small
-    products table * x_lo, are accumulated apart (Ogita, Rump and Oishi's
-    Dot2, SIAM J. Sci. Comput. 26(6), 2005).  Table and x are first scaled
-    by powers of two, which is exact, so that no split can overflow.
-    """
-    n = x.size
-    t_exp = np.frexp(np.max(np.abs(table)))[1]
-    x_exp = np.frexp(np.max(np.abs(x)))[1]
-    # ext[:, n - 1 + m] = table[:, |m|] / 2**t_exp, and its windows are
-    # win[i, k, r] = ext[k, r + i] = table[k, |r - j|] / 2**t_exp, j = n - 1 - i
-    ext = np.ldexp(np.concatenate([table[:, :0:-1], table], axis=1), -t_exp)
-    windows = [
-        sliding_window_view(part, n, axis=1).transpose(2, 0, 1)
-        for part in (ext, *_split(ext))
-    ]
-    x_rev = np.ldexp(x[::-1], -x_exp)[:, None, None]
-    x_hi = x_rev.astype(np.float64)
-    x_lo = (x_rev - x_hi).astype(np.float64)
-    xh_hi, xh_lo = _split(x_hi)
-    total = np.empty(table.shape)
-    err = np.empty(table.shape)
-    rows = max(1, _SLAB_ELEMENTS // (n * n))
-    for start in range(0, n, rows):
-        a, a_hi, a_lo = (win[:, start : start + rows] for win in windows)
-        s = a * x_hi
-        # u = the rounding error of s, exactly, plus a * x_lo
-        t = a_hi * xh_hi
-        np.subtract(s, t, out=t)
-        u = a_lo * xh_hi
-        t -= u
-        np.multiply(a_hi, xh_lo, out=u)
-        t -= u
-        np.multiply(a_lo, xh_lo, out=u)
-        u -= t
-        np.multiply(a, x_lo, out=t)
-        u += t
-        e = u.sum(axis=0)
-        # fold the upper half of s onto the lower half until one term is
-        # left, adding each fold's exact rounding error (Knuth's TwoSum) to e
-        m = n
-        while m > 1:
-            keep, h = (m + 1) // 2, m // 2
-            low, high = s[:h], s[keep:m]
-            new = low + high
-            part = new - low
-            high -= part
-            part -= new
-            part += low
-            part += high
-            e += part.sum(axis=0)
-            low[...] = new
-            m = keep
-        total[start : start + rows] = s[0]
-        err[start : start + rows] = e
-    return np.ldexp(total.astype(x.dtype) + err.astype(x.dtype), t_exp + x_exp)
-
-
 def gram_contraction(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """unvec(C vec(X)) for the fourth-moment matrix C whose lag table
-    :func:`c_gamma` returns, without forming C.
+    """unvec(C vec(X)) for a square X and the fourth-moment matrix C whose
+    lag table :func:`c_gamma` returns, without forming C.
 
-    C is block-Toeplitz with Toeplitz blocks B[k] = toeplitz(table[k]).  A
-    square ``x`` is X itself: Z[k] = B[k] X and Y[:, c] = sum_d Z[|c-d|][:, d],
-    O(n^4) flops and O(n^3) memory.  A vector ``x`` stands for X = x x':
-    W[k] = B[k] x and Y[r, c] = sum_d W[|c-d|, r] x[d], O(n^3) flops.  The
-    square case runs in the dtype of ``x``.
-
-    In the rank-1 case x oscillates (it is Sigma^-1 applied to a vector in
-    the report) while the blocks are smooth, so W keeps only a small part of
-    the digits of its terms.  W is therefore formed in float64 error-free
-    arithmetic, as accurate as twice float64 precision, and returned in the
-    dtype of ``x``, in which the final sum over d runs.  In plain long
-    double, the closed-form ridge report and the generic one disagree on
-    trace(v_b_ar) by up to 4e-10 at a = 0.99, n = 20; with W so formed, by
-    about 1e-15.
+    C is block-Toeplitz with Toeplitz blocks B[k] = toeplitz(table[k]), so
+    Z[k] = B[k] X and Y[:, c] = sum_d Z[|c-d|][:, d]: O(n^4) flops and
+    O(n^3) memory, in the dtype of ``x``.
     """
     n = table.shape[0]
     idx = np.arange(n)
     lag = np.abs(idx[:, None] - idx[None, :])
-    if x.ndim == 1:
-        w = _toeplitz_matvec(table, x)  # (k, r)
-        return (x @ w[lag]).T  # w[lag] is (c, d, r)
     blocks = table.astype(x.dtype)[:, lag]  # (k, r, r')
     z = (blocks.reshape(n * n, n) @ x).reshape(n, n, n)  # (k, r, d)
     return z[lag, :, idx].sum(axis=1).T  # z[lag, :, idx] is (c, d, r)
@@ -291,6 +207,7 @@ def second_order_stats(filt: FilterSpec, n: int) -> SecondOrderStats:
     # cond_sigma carries into every artifact
     values = np.linalg.eigh(sigma)[0][::-1]  # eigh sorts them ascending
     return SecondOrderStats(
+        filt=filt,
         sigma=sigma,
         sigma_inv=_pd_inverse(sigma),
         c_gamma=c_gamma(filt, n),
@@ -365,30 +282,89 @@ def hyper_parameter_law(
     )
 
 
-def _rank1_gram_contraction(
-    table: np.ndarray,
-    s_inv: np.ndarray,
-    p_inv: np.ndarray,
-    theta0: np.ndarray,
-    scale: float,
-) -> np.ndarray:
-    """scale * S unvec(C vec(x x')) S with x = S p_inv theta0, S = s_inv.
+def _v_b3_12(stats: SecondOrderStats, shrink: np.ndarray, sigma2: float) -> np.ndarray:
+    """v_b3_12 = sigma2^2 S unvec(C vec(x x')) S with S = Sigma^-1, x = S shrink
+    and shrink = P(eta*)^-1 theta0, from the lag sums of the AR(2) input:
+    O(n^2) flops and one n x n product.
 
-    The contraction cancels by many orders of magnitude when Sigma is ill
-    conditioned, which would amplify ordinary rounding differences between
-    algebraically equal formulations far beyond comparison tolerances.  So
-    x, the outer products with S and the final sum of
-    :func:`gram_contraction` run in long double, and its W in float64
-    error-free arithmetic of twice float64 precision.  The rank-1 vector x
-    is built inside so callers only contribute uniform (scalar-level)
-    rounding, which the quadratic form does not amplify.
+    For n >= 2 the regressor is the state of the companion matrix A (first
+    row (2a, -a^2, 0, ...), ones below the diagonal), so Gamma(tau) =
+    A^tau Sigma for tau >= 0, and Bartlett's formula (Brockwell and Davis,
+    1991, sec. 7.2) gives v_b3_12 / sigma2^2 =
+
+        Y + Y' - x x' + Z + Z' - c_0 S + (kappa - 3) x x',
+        Y = sum_tau S A^tau Sigma x x' A^tau,   Z = S sum_tau c_tau A^tau,
+        c_tau = x' A^tau Sigma x,   Sigma x = shrink.
+
+    A Sigma is Toeplitz, so S A Sigma = J A' J for the reversal J, and
+    Y = J sum_tau (A'^tau J x)(A'^tau x)' needs no S.  A'^tau z is z moved
+    up by tau places plus rho_tau e_0 + sig_tau e_1, where y = h * z for
+    the impulse response h(k) = (k+1) a^k, rho_tau = y_tau - z_tau and
+    sig_tau = -a^2 y_(tau-1).  So each lag sum is a few convolutions of
+    length-n sequences.  At tau = n + m, rho, sig and c are a^m (p + q m),
+    and their sums of products over m >= 0 have closed forms.  n = 1 has
+    no companion form; there the one table entry is the whole sum.
     """
-    ld = np.longdouble
-    s_ld = s_inv.astype(ld)
-    x = s_ld @ (p_inv.astype(ld) @ theta0.astype(ld))
-    mid = gram_contraction(table, x)
-    out = ld(scale) * (s_ld @ mid @ s_ld)
-    return _sym(out.astype(float))
+    s_inv = stats.sigma_inv
+    n = shrink.size
+    x = s_inv @ shrink
+    if n == 1:
+        return sigma2**2 * s_inv**2 * stats.c_gamma * (x[0] * x[0])
+    a, kappa = stats.filt.kind.a, stats.filt.kurtosis_ratio
+    k = np.arange(n)
+    h = (k + 1.0) * a**k
+    r = a * a
+    one = (1.0 - a) * (1.0 + a)
+    geo = (1.0 / one, r / one**2, r * (1.0 + r) / one**3)  # sum_m m^j r^m
+
+    def tail_sum(p, q, p2, q2):
+        """sum over m >= 0 of a^m (p + q m) a^m (p2 + q2 m)."""
+        return p * p2 * geo[0] + (p * q2 + q * p2) * geo[1] + q * q2 * geo[2]
+
+    def lag_sum(u, w):
+        """sum over tau >= 0 of u_tau w_tau for (head over tau < n, p, q)."""
+        return u[0] @ w[0] + tail_sum(*u[1:], *w[1:])
+
+    def corr(u, w):
+        """sum_j u[j + t] w[j] for t = 0 ... n - 1."""
+        return np.convolve(u, w[::-1])[n - 1 :]
+
+    def rho_sig(z):
+        """rho and sig of A'^tau z; y at tau = n - 1 + m is
+        a^m (y_(n-1) + m beta) with beta = sum_i a^(n-1-i) z_i."""
+        y = np.convolve(h, z)[:n]
+        beta, last = float(a ** k[::-1] @ z), y[-1]
+        rho = (y - z, a * (last + beta), a * beta)
+        sig = (np.concatenate(([0.0], -r * y[:-1])), -r * last, -r * beta)
+        return rho, sig
+
+    rho, sig = rho_sig(x)
+    rho_rev, sig_rev = rho_sig(x[::-1])
+    # Y = J sum_tau (A'^tau J x)(A'^tau x)': the shifted parts give
+    # sum_(q <= i) x_q x_(i+j-q), the e_0, e_1 terms of A'^tau x columns 0
+    # and 1, and those of A'^tau J x, flipped by J, the last two rows
+    hankel = k[:, None] + k[None, :]
+    skew = np.zeros((n, 2 * n - 1))
+    skew[k[:, None], hankel] = np.outer(x, x)
+    y = np.cumsum(skew, axis=0)[k[:, None], hankel]
+    y[:, 0] += np.convolve(rho[0], x)[:n]
+    y[:, 1] += np.convolve(sig[0], x)[:n]
+    for row, u in ((-1, rho_rev), (-2, sig_rev)):
+        y[row] += corr(x, u[0])
+        y[row, 0] += lag_sum(u, rho)
+        y[row, 1] += lag_sum(u, sig)
+    # T = sum_tau c_tau A^tau with c_tau = shrink' A'^tau x: c[i - j] below
+    # the diagonal, but column 0 is hc_i = sum_k c_(i+k) h_k and column 1
+    # adds -a^2 hc_(i+1); h at tau = n + m, lag i, is a^(n-i) a^m (n-i+1+m)
+    c = corr(x, shrink) + shrink[0] * rho[0] + shrink[1] * sig[0]
+    c_tail = (shrink[0] * rho[i] + shrink[1] * sig[i] for i in (1, 2))
+    rest = np.arange(n, -1, -1)
+    hc = np.append(corr(c, h), 0.0) + a**rest * tail_sum(*c_tail, rest + 1.0, 1.0)
+    t = np.tril(c[np.abs(k[:, None] - k[None, :])])
+    t[:, 0] = hc[:n]
+    t[:, 1] -= r * hc[1:]
+    q = y + s_inv @ t
+    return sigma2**2 * (q + q.T + (kappa - 4.0) * np.outer(x, x) - c[0] * s_inv)
 
 
 def ls_error_covariances(
@@ -422,7 +398,8 @@ def regularized_error_moments(
     sigma2 = noise.sigma2
     p_inv, s_inv = law.p_inv, stats.sigma_inv
     c_b = _sym(-2.0 * law.b_b.T @ law.a_inv @ law.b_b + p_inv)
-    w = s_inv @ (p_inv @ theta0)
+    shrink = p_inv @ theta0
+    w = s_inv @ shrink
     v1, v2 = ls_error_covariances(stats, sigma2)
     return AsymptoticReport(
         eta_star=law.eta_star,
@@ -434,7 +411,7 @@ def regularized_error_moments(
         c_b=c_b,
         vartheta_b2=-sigma2 * w,
         v_b3_11=_sym(sigma2**3 * s_inv @ c_b @ s_inv @ c_b @ s_inv),
-        v_b3_12=_rank1_gram_contraction(stats.c_gamma, s_inv, p_inv, theta0, sigma2**2),
+        v_b3_12=_v_b3_12(stats, shrink, sigma2),
         v_b3_13=(noise.fourth_moment - sigma2**2) * np.outer(w, w),
         v_b3_2=_sym(-(sigma2**2) * s_inv @ c_b @ s_inv),
         n_samples=n_samples,
@@ -494,9 +471,6 @@ def ridge_report(
         + s_inv2 @ s_inv
         - (2.0 / s) * (s_inv2 @ np.outer(theta0, st) + np.outer(st, theta0) @ s_inv2)
     )
-    v_b3_12 = _rank1_gram_contraction(
-        stats.c_gamma, s_inv, (n / s) * np.eye(n), theta0, sigma2**2
-    )
     v_b3_13 = (n**2 * (noise.fourth_moment - sigma2**2) / s**2) * outer_st
     v_b3_2 = (2.0 * n * sigma2**2 / s**2) * outer_st - (n * sigma2**2 / s) * s_inv2
     return AsymptoticReport(
@@ -509,7 +483,7 @@ def ridge_report(
         c_b=_sym(c_b),
         vartheta_b2=-(n * sigma2 / s) * st,
         v_b3_11=_sym(v_b3_11),
-        v_b3_12=v_b3_12,
+        v_b3_12=_v_b3_12(stats, (n / s) * theta0, sigma2),
         v_b3_13=_sym(v_b3_13),
         v_b3_2=_sym(v_b3_2),
         n_samples=n_samples,

@@ -13,6 +13,10 @@ class NotPositiveDefiniteError(FirasymError):
     """A matrix required to be positive definite failed its factorization."""
 
 
+class NonFiniteError(FirasymError):
+    """A matrix or vector that a factorization needs holds NaN or infinity."""
+
+
 class OutOfBoxError(FirasymError):
     """Hyper-parameter value lies outside the configured search box."""
 

@@ -29,7 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import NotPositiveDefiniteError, OutOfBoxError, RankDeficientError
+from .errors import (
+    NonFiniteError,
+    NotPositiveDefiniteError,
+    OutOfBoxError,
+    RankDeficientError,
+)
 from .signals import Dataset
 
 _FAMILIES = ("ridge", "tc", "dc", "ss")
@@ -393,10 +398,10 @@ def _sym(mat: np.ndarray) -> np.ndarray:
 def _pd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """mat^-1 rhs for a PD ``mat``: the LAPACK calls behind scipy's
     cho_factor / cho_solve, with their arguments, without their wrappers.
-    A matrix that is not PD raises LinAlgError, and a non-finite argument
-    ValueError, as those wrappers do."""
+    A matrix that is not PD raises LinAlgError, as those wrappers do, and a
+    non-finite argument NonFiniteError."""
     if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise NonFiniteError("Cholesky solve of an array with infs or NaNs")
     chol, info = dpotrf(mat, lower=False, clean=False)
     if info > 0:
         raise np.linalg.LinAlgError(

@@ -1,13 +1,14 @@
 """Reference code that only the tests read: the column-stacking operator,
-a column-by-column compensated Toeplitz product, a truncated impulse
-response with the finite series that check the double-pole closed forms
-against it, noise-free records, and the per-record expansion of the scaled
-estimation errors, whose two decompositions hold as algebraic identities
-on simulated data."""
+a 60-digit rank-1 Gram contraction, a truncated impulse response with the
+finite series that check the double-pole closed forms against it,
+noise-free records, and the per-record expansion of the scaled estimation
+errors, whose two decompositions hold as algebraic identities on simulated
+data."""
 
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.linalg import toeplitz
 
@@ -53,38 +54,45 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-def toeplitz_matvec_dot2(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w[k] = toeplitz(table[k]) @ x for every k, one column j at a time, by
-    Ogita, Rump and Oishi's Dot2 in the dtype of x: error-free products and
-    sums (Dekker's split of each factor, Knuth's TwoSum) whose rounding
-    errors are accumulated apart.  In long double it is the reference for
-    the library's vectorized float64 kernel."""
+def exact_rank1_contraction(
+    filt: FilterSpec, shrink: np.ndarray, dps: int = 60
+) -> np.ndarray:
+    """S unvec(C vec(x x')) S at ``dps`` digits, with x = S shrink, where
+    Sigma, S = Sigma^-1 and the c_gamma table of C are evaluated at that
+    precision from their closed forms, and the float64 ``shrink`` is taken
+    exactly.  It is the reference for the report's v_b3_12 at unit noise
+    variance; entries are mpmath numbers."""
+    n = shrink.size
+    with mpmath.workdps(dps):
+        a, c_u = mpmath.mpf(filt.kind.a), mpmath.mpf(filt.kind.c_u)
+        one = 1 - a * a
+        r = [c_u**2 * a**t * (2 / one**3 + (t - 1) / one**2) for t in range(n)]
+        sigma = mpmath.matrix([[r[abs(i - j)] for j in range(n)] for i in range(n)])
+        s = np.array((sigma**-1).tolist(), dtype=object)
 
-    def split(a):
-        bits = np.finfo(a.dtype).nmant + 1
-        scaled = a * a.dtype.type(2 ** ((bits + 1) // 2) + 1)
-        high = scaled - (scaled - a)
-        return high, a - high
+        def f(x):
+            # the series kernel of the double-pole filter (c_gamma's _f_gamma)
+            t1 = 2 * a ** (x + 2) / one * ((1 - x) * a**4 + (5 - x) * a**2 + 4 + 2 * x)
+            t2 = -(a**x) * one**2 * x * (x + 1) * (2 * x + 1) / 6
+            t3 = a**x * one**2 * x**2 * (x + 1) / 2
+            t4 = a**x * (x + 1) * ((1 - x) * a**4 + 2 * a**2 + 1 + x)
+            return t1 + t2 + t3 + t4
 
-    n = x.size
-    # ext[:, n - 1 + m] = table[:, |m|], so column j of every block is a slice
-    ext = np.concatenate([table[:, :0:-1], table], axis=1).astype(x.dtype)
-    ext_hi, ext_lo = split(ext)
-    x_hi, x_lo = split(x)
-    total = np.zeros(table.shape, dtype=x.dtype)
-    err = np.zeros_like(total)
-    for j in range(n):
-        cols = slice(n - 1 - j, 2 * n - 1 - j)
-        a, a_hi, a_lo = ext[:, cols], ext_hi[:, cols], ext_lo[:, cols]
-        prod = a * x[j]
-        err += a_lo * x_lo[j] - (
-            ((prod - a_hi * x_hi[j]) - a_lo * x_hi[j]) - a_hi * x_lo[j]
-        )
-        new = total + prod
-        part = new - total
-        err += (total - (new - part)) + (prod - part)
-        total = new
-    return total + err
+        excess = mpmath.mpf(filt.kurtosis_ratio) - 3
+        ends = [k * one + 1 + a * a for k in range(n)]
+        series = [f(lag) for lag in range(2 * n - 1)]
+
+        def entry(k, l):
+            first = excess * a ** (k + l) * ends[k] * ends[l]
+            return c_u**4 / one**6 * (first + series[abs(k - l)] + series[k + l])
+
+        table = np.array([[entry(k, l) for l in range(n)] for k in range(n)], dtype=object)
+        x = s.dot(np.array([mpmath.mpf(float(v)) for v in shrink], dtype=object))
+        lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        w = np.array([table[k][lag].dot(x) for k in range(n)], dtype=object)  # (k, r)
+        # unvec(C vec(x x'))[:, c] = sum_d toeplitz(table[|c - d|]) x x_d
+        mid = np.stack([x.dot(w[lag[c]]) for c in range(n)], axis=1)
+        return s.dot(mid).dot(s)
 
 
 def impulse_response(filt: FilterSpec, tail_tol: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 law and coefficient-error expansions."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -38,12 +39,12 @@ from firasym import asymptotics
 from firasym.montecarlo import _SYSTEM_TAG
 from oracles import (
     REPORT_FIELDS,
+    exact_rank1_contraction,
     expansion_terms,
     impulse_response,
     noise_free_dataset,
     series_c_gamma,
     series_sigma,
-    toeplitz_matvec_dot2,
     unvec,
     vec,
 )
@@ -154,92 +155,70 @@ class TestGramContraction:
     def test_matches_dense_product(self, n, a, dtype):
         table = c_gamma(FilterSpec(SecondOrderAR(a=a, c_u=1.1 * math.sqrt(0.9))), n)
         dense = expand_c_gamma(table).astype(dtype)
-        rng = np.random.default_rng(n)
-        mat = rng.standard_normal((n, n)).astype(dtype)
-        x = rng.standard_normal(n).astype(dtype)
-        for arg, stacked in ((mat, vec(mat)), (x, vec(np.outer(x, x)))):
-            got = gram_contraction(table, arg)
-            ref = unvec(dense @ stacked)
-            assert got.dtype == dtype
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        mat = np.random.default_rng(n).standard_normal((n, n)).astype(dtype)
+        got = gram_contraction(table, mat)
+        ref = unvec(dense @ vec(mat))
+        assert got.dtype == dtype
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("a", [0.7, 0.95])
     def test_no_less_accurate_than_dense_product(self, a):
-        # 50-digit evaluations of the same float64 inputs; at strong poles
-        # both paths lose digits to cancellation (v_als_2 ~1e-6 at a = 0.95)
+        # v_als_2 against 50-digit evaluations of the same float64 inputs;
+        # at strong poles both paths lose digits to cancellation (v_als_2
+        # ~1e-6 at a = 0.95)
         n = 10
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=1.0))
+        stats = second_order_stats(filt, n)
+        table, s_inv = stats.c_gamma, stats.sigma_inv
+        dense = expand_c_gamma(table)
         with mpmath.workdps(50):
-            stats = second_order_stats(FilterSpec(SecondOrderAR(a=a, c_u=1.0)), n)
-            table, s_inv = stats.c_gamma, stats.sigma_inv
-            dense = expand_c_gamma(table)
             c_mp, s_mp = to_mp(dense), to_mp(s_inv)
-
             ref = s_mp @ unvec(c_mp @ vec(s_mp)) @ s_mp
             dense_v2 = asymptotics._sym(s_inv @ unvec(dense @ vec(s_inv)) @ s_inv)
             matrix_free_v2 = ls_error_covariances(stats, 1.0)[1]
             assert rel_error(matrix_free_v2, ref) <= rel_error(dense_v2, ref)
 
-            # v_b3_12's long-double rank-1 contraction, x = Sigma^-1 theta
-            # built inside from the same float64 inputs
-            rng = np.random.default_rng(0)
-            for _ in range(4):
-                theta = rng.standard_normal(n)
-                x_mp = s_mp @ to_mp(theta)
-                ref = s_mp @ unvec(c_mp @ vec(np.outer(x_mp, x_mp))) @ s_mp
-                matrix_free = asymptotics._rank1_gram_contraction(
-                    table, s_inv, np.eye(n), theta, 1.0
-                )
-                s_ld = s_inv.astype(np.longdouble)
-                x = s_ld @ theta.astype(np.longdouble)
-                mid = unvec(dense.astype(np.longdouble) @ vec(np.outer(x, x)))
-                dense_r1 = asymptotics._sym((s_ld @ mid @ s_ld).astype(float))
-                assert rel_error(matrix_free, ref) <= rel_error(dense_r1, ref)
+        # v_b3_12 at P(eta*) = I against the 60-digit contraction of the
+        # exact Sigma^-1 and x = Sigma^-1 theta, next to the dense product of
+        # the float64 Sigma^-1 in long double
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            theta = rng.standard_normal(n)
+            ref = exact_rank1_contraction(filt, theta)
+            lag_sums = asymptotics._v_b3_12(stats, theta, 1.0)
+            s_ld = s_inv.astype(np.longdouble)
+            x = s_ld @ theta.astype(np.longdouble)
+            mid = unvec(dense.astype(np.longdouble) @ vec(np.outer(x, x)))
+            dense_r1 = asymptotics._sym((s_ld @ mid @ s_ld).astype(float))
+            with mpmath.workdps(60):
+                assert rel_error(lag_sums, ref) <= rel_error(dense_r1, ref)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 20, 81, 100])
-    def test_kernel_matches_column_loop(self, n):
-        # the vectorized float64 kernel against the long-double Dot2 loop;
-        # n = 81 and 100 end in a partial slab.  A gain c_u^2 scales the
-        # table by c_u^4 and x = Sigma^-1 theta by c_u^-2.  The table is
-        # scaled to peak c_u^4 for c_u^2 in {1e-150, 0.5, 1e150}, so that it
-        # stays finite at a strong pole, and to peak 1e307, where an
-        # unscaled split would overflow
-        ld = np.longdouble
-        idx = np.arange(n)
-        lag = np.abs(idx[:, None] - idx[None, :])
-        rng = np.random.default_rng(n)
-        for a in (0.0, 0.7, 0.99, 0.995):
-            stats = second_order_stats(FilterSpec(SecondOrderAR(a=a, c_u=1.0)), n)
-            for peak in (1e-300, 0.25, 1e300, 1e307):
-                table = stats.c_gamma * (peak / np.max(stats.c_gamma))
-                theta = rng.standard_normal(n).astype(ld)
-                x = stats.sigma_inv.astype(ld) @ theta / ld(math.sqrt(peak))
-                terms = np.abs(table)[:, lag] @ np.abs(x.astype(float))
-                for arg in (x, x.astype(float)):
-                    got = asymptotics._toeplitz_matvec(table, arg)
-                    ref = toeplitz_matvec_dot2(table, arg.astype(ld))
-                    assert np.all(np.isfinite(ref)) and got.dtype == arg.dtype
-                    # Dot2's bound: one rounding to the dtype of x, plus
-                    # n 2^-104 of the summed term magnitudes.  In long double
-                    # the two agree in all but a few entries that lie within
-                    # 0.001 ulp of a rounding midpoint
-                    tol = np.finfo(arg.dtype).eps * np.abs(ref) + n * 2.0**-104 * terms
-                    assert np.all(np.abs(got - ref) <= tol)
-
-    def test_kernel_rounds_within_an_ulp_at_a_strong_pole(self):
-        # 50-digit sums of the same float64 table and long-double x, which
-        # loses about 14 digits to cancellation when summed in long double
-        n = 20
-        filt = FilterSpec(SecondOrderAR(a=0.99, c_u=math.sqrt(0.5)))
-        stats = second_order_stats(filt, n)
-        ld = np.longdouble
-        theta = np.random.default_rng(0).standard_normal(n).astype(ld)
-        x = stats.sigma_inv.astype(ld) @ theta
-        got = asymptotics._toeplitz_matvec(stats.c_gamma, x)
-        with mpmath.workdps(50):
-            table, x_mp, got_mp = to_mp(stats.c_gamma), to_mp(x), to_mp(got)
-            for k, r in np.ndindex(n, n):
-                exact = mpmath.fsum(table[k, abs(r - j)] * x_mp[j] for j in range(n))
-                assert abs(got_mp[k, r] - exact) <= float(np.finfo(ld).eps) * abs(exact)
+    @pytest.mark.parametrize("kurtosis_ratio", [3.0, 5.0])
+    @pytest.mark.parametrize(
+        "n,a,bound",
+        [
+            (20, 0.3, 1e-11),
+            (20, 0.7, 1e-11),
+            (20, 0.9, 1e-11),
+            (20, 0.95, 1e-9),
+            (20, 0.99, 1e-8),
+            (1, 0.7, 1e-11),
+            (1, 0.99, 1e-8),
+            (2, 0.7, 1e-11),
+            (2, 0.99, 1e-8),
+            (3, 0.7, 1e-11),
+            (3, 0.99, 1e-8),
+        ],
+    )
+    def test_rank1_block_matches_60_digits(self, n, a, bound, kurtosis_ratio):
+        # the report's v_b3_12 against the exact contraction; the float64
+        # Sigma^-1 it starts from is itself off by ~6e-10 at a = 0.99
+        theta = random_theta(np.random.default_rng(n), n)
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)), kurtosis_ratio)
+        report = ridge_report(theta, filt, NoiseSpec(1.0), 1000)
+        ref = exact_rank1_contraction(filt, (n / float(theta @ theta)) * theta)
+        with mpmath.workdps(60):
+            assert rel_error(report.v_b3_12, ref) <= bound
 
     def test_report_memory_stays_below_the_dense_matrix(self):
         # the dense n^2 x n^2 float64 matrix alone is 800 MB at n = 100
@@ -443,6 +422,13 @@ class TestRegularizedErrorMoments:
         for name in ("v_b3_11", "v_b3_12", "v_b3_13", "v_b_ar"):
             mat = getattr(self.t3, name)
             assert np.linalg.eigvalsh(mat)[0] >= -1e-10 * np.linalg.norm(mat), name
+        # the rank-1 Gram block at strong poles, for two input kurtoses
+        theta = random_theta(np.random.default_rng(8), 20)
+        for a, kurtosis_ratio in itertools.product([0.95, 0.99], [3.0, 5.0]):
+            filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)), kurtosis_ratio)
+            mat = ridge_report(theta, filt, self.noise, 1000).v_b3_12
+            bound = -1e-10 * np.linalg.norm(mat)
+            assert np.linalg.eigvalsh(mat)[0] >= bound, (a, kurtosis_ratio)
 
     def test_joint_covariance_psd_and_schur_structure(self):
         # the three expansion terms share one joint covariance; its diagonal

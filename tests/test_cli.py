@@ -223,6 +223,15 @@ class TestAsymCommand:
         assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "numerical failure: float overflow in c_gamma" in capsys.readouterr().err
 
+    def test_non_finite_input_is_a_numerical_failure(self, tmp_path, capsys):
+        # r(0) = cu2 (1 + a^2) / (1 - a^2)^3 overflows, so Sigma holds inf
+        # when it is inverted
+        change = {"theta0": [2.0], "filter": {"a": 0.5, "cu2": 1e308}}
+        cfg = write_config(tmp_path, dict(ASYM_CONFIG, **change))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numerical failure: " in capsys.readouterr().err
+        assert not (tmp_path / "asym_report.json").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a zero truth pushes the analytic ridge optimum out of the box
         broken = dict(ASYM_CONFIG, theta0=[0.0, 0.0, 0.0, 0.0])
@@ -232,6 +241,14 @@ class TestAsymCommand:
 
 
 class TestMcCommand:
+    def test_non_finite_input_is_a_numerical_failure(self, tmp_path, capsys):
+        # the Gram matrix of every record overflows in the regularized solve
+        change = {"n": 2, "N": 50, "filters": [[0.5, 1e305]]}
+        cfg = write_config(tmp_path, dict(MC_CONFIG, **change))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numerical failure: " in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, MC_CONFIG)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -424,23 +441,20 @@ class TestSweepCommand:
             calls.append(n)
             return original(filt, n)
 
-        contractions = []
-        original_contraction = asymptotics._rank1_gram_contraction
+        blocks = []
+        original_block = asymptotics._v_b3_12
 
-        def counted_contraction(*args):
-            contractions.append(args[0].shape)
-            return original_contraction(*args)
+        def counted_block(stats, shrink, sigma2):
+            blocks.append(shrink.size)
+            return original_block(stats, shrink, sigma2)
 
         monkeypatch.setattr(asymptotics, "second_order_stats", counted)
-        monkeypatch.setattr(
-            asymptotics, "_rank1_gram_contraction", counted_contraction
-        )
+        monkeypatch.setattr(asymptotics, "_v_b3_12", counted_block)
         args = ["sweep", "--grid-points", "3", "--n", "6", "--N", "100", "200"]
         assert main(args + ["--seed", "2", "--out", str(tmp_path)]) == 0
         assert calls == [6, 6, 6]
-        # one rank-1 Gram contraction (v_b3_12) per pole serves both record
-        # lengths
-        assert contractions == [(6, 6)] * 3
+        # one rank-1 Gram block (v_b3_12) per pole serves both record lengths
+        assert blocks == [6] * 3
         # every row matches a report that builds its own statistics
         theta0 = generate_t1(6, derive_stream(2, montecarlo._SYSTEM_TAG, 0)).theta0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()[4:]
