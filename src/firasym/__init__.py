@@ -19,7 +19,6 @@ from .asymptotics import (
     asymptotic_report,
     c_gamma,
     eta_star,
-    gram_contraction,
     ridge_report,
     second_order_stats,
     sigma_matrix,

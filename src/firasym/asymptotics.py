@@ -1,17 +1,16 @@
 """Closed-form limit quantities for the regularized FIR estimator.
 
 Everything here is deterministic linear algebra: the stationary input
-covariance Sigma, the fourth-moment matrix of the scaled Gram deviation
-(kept as its lag table, c_gamma, and applied to a square matrix by
-gram_contraction; its rank-1 contraction v_b3_12 is summed over the lags
-of the AR(2) input instead), the limit hyper-parameter eta_star with
-its curvature (a_b) and sensitivity (b_b) blocks, the limiting covariance
-of the hyper-parameter estimate (v_b_h), the second- and third-order
+covariance Sigma, the lag table c_gamma of the fourth-moment matrix C of the
+scaled Gram deviation, the limit hyper-parameter eta_star with its
+curvature (a_b) and sensitivity (b_b) blocks, the limiting covariance of
+the hyper-parameter estimate (v_b_h), the second- and third-order
 covariance blocks of the coefficient estimates, and the induced
 mean-square-error approximations, derived at any record length N from the
-blocks that do not depend on N.  The per-record expansion terms that
-check these decompositions on simulated data live with the tests, in
-``tests/oracles.py``.
+blocks that do not depend on N.  The blocks that contract C, v_als_2 and
+v_b3_12, are summed over the lags of the AR(2) input instead.  The
+per-record expansion terms that check these decompositions on simulated
+data live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,10 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import OutOfBoxError, SingularHessianWarning
+from .errors import NonFiniteError, OutOfBoxError, SingularHessianWarning
 from .estimators import (
     KernelSpec,
     OptimizerOptions,
+    _eye,
     _pd_inverse,
     _reduced_cost_grad,
     _sym,
@@ -38,15 +38,13 @@ from .signals import FilterSpec, NoiseSpec, autocovariance
 
 @dataclass
 class SecondOrderStats:
-    """Input covariance Sigma of the filter ``filt`` with its inverse and
-    eigenvalues, and the lag table of the fourth-moment matrix of the scaled
-    Gram deviation."""
+    """What the report reads of the input of filter ``filt``: the inverse
+    and the condition number of its covariance Sigma, and the lag table of
+    the fourth-moment matrix of the scaled Gram deviation."""
 
     filt: FilterSpec
-    sigma: np.ndarray
     sigma_inv: np.ndarray
     c_gamma: np.ndarray
-    eigenvalues: np.ndarray  # descending
     cond: float
 
 
@@ -127,13 +125,15 @@ class AsymptoticReport:
             "e_b_ar_sq_norm": float(self.e_b_ar @ self.e_b_ar),
         }
 
-    def to_json_dict(self) -> dict:
-        """JSON-ready dictionary; matrices are row-major nested lists."""
+    def blocks(self) -> dict:
+        """Every reported block and scalar summary, by its artifact name."""
         names = [f.name for f in fields(self) if f.name != "vartheta_b2"]
         names += ["e_b_ar", "v_b_ar", "amse"]
-        doc = {name: np.asarray(getattr(self, name)).tolist() for name in names}
-        doc.update(self.summary())
-        return doc
+        return {name: getattr(self, name) for name in names} | self.summary()
+
+    def to_json_dict(self) -> dict:
+        """JSON-ready dictionary; matrices are row-major nested lists."""
+        return {name: np.asarray(v).tolist() for name, v in self.blocks().items()}
 
 
 def sigma_matrix(filt: FilterSpec, n: int) -> np.ndarray:
@@ -160,8 +160,7 @@ def c_gamma(filt: FilterSpec, n: int) -> np.ndarray:
     deviation, C = N E[(Phi'Phi/N - Sigma) kron (Phi'Phi/N - Sigma)].
 
     C is n^2 x n^2, but under column-major stacking its entry (p, q) is
-    table[|col_p - col_q|, |row_p - row_q|], so the n x n table holds all of
-    it; :func:`gram_contraction` applies C without forming it.
+    table[|col_p - col_q|, |row_p - row_q|]: the n x n table holds all of it.
     """
     excess = filt.kurtosis_ratio - 3.0
     a, c_u = filt.kind.a, filt.kind.c_u
@@ -185,34 +184,16 @@ def c_gamma(filt: FilterSpec, n: int) -> np.ndarray:
     return first + second
 
 
-def gram_contraction(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """unvec(C vec(X)) for a square X and the fourth-moment matrix C whose
-    lag table :func:`c_gamma` returns, without forming C.
-
-    C is block-Toeplitz with Toeplitz blocks B[k] = toeplitz(table[k]), so
-    Z[k] = B[k] X and Y[:, c] = sum_d Z[|c-d|][:, d]: O(n^4) flops and
-    O(n^3) memory, in the dtype of ``x``.
-    """
-    n = table.shape[0]
-    idx = np.arange(n)
-    lag = np.abs(idx[:, None] - idx[None, :])
-    blocks = table.astype(x.dtype)[:, lag]  # (k, r, r')
-    z = (blocks.reshape(n * n, n) @ x).reshape(n, n, n)  # (k, r, d)
-    return z[lag, :, idx].sum(axis=1).T  # z[lag, :, idx] is (c, d, r)
-
-
 def second_order_stats(filt: FilterSpec, n: int) -> SecondOrderStats:
     sigma = sigma_matrix(filt, n)
     # eigh, not eigvalsh: their eigenvalues differ in the last bits, which
     # cond_sigma carries into every artifact
-    values = np.linalg.eigh(sigma)[0][::-1]  # eigh sorts them ascending
+    values = np.linalg.eigh(sigma)[0]  # ascending
     return SecondOrderStats(
         filt=filt,
-        sigma=sigma,
         sigma_inv=_pd_inverse(sigma),
         c_gamma=c_gamma(filt, n),
-        eigenvalues=values,
-        cond=float(values[0] / values[-1]),
+        cond=float(values[-1] / values[0]),
     )
 
 
@@ -285,12 +266,8 @@ def hyper_parameter_law(
 def _v_b3_12(stats: SecondOrderStats, shrink: np.ndarray, sigma2: float) -> np.ndarray:
     """v_b3_12 = sigma2^2 S unvec(C vec(x x')) S with S = Sigma^-1, x = S shrink
     and shrink = P(eta*)^-1 theta0, from the lag sums of the AR(2) input:
-    O(n^2) flops and one n x n product.
-
-    For n >= 2 the regressor is the state of the companion matrix A (first
-    row (2a, -a^2, 0, ...), ones below the diagonal), so Gamma(tau) =
-    A^tau Sigma for tau >= 0, and Bartlett's formula (Brockwell and Davis,
-    1991, sec. 7.2) gives v_b3_12 / sigma2^2 =
+    O(n^2) flops and one n x n product.  Bartlett's formula (see
+    :func:`ls_error_covariances`) at X = x x' gives v_b3_12 / sigma2^2 =
 
         Y + Y' - x x' + Z + Z' - c_0 S + (kappa - 3) x x',
         Y = sum_tau S A^tau Sigma x x' A^tau,   Z = S sum_tau c_tau A^tau,
@@ -302,8 +279,7 @@ def _v_b3_12(stats: SecondOrderStats, shrink: np.ndarray, sigma2: float) -> np.n
     the impulse response h(k) = (k+1) a^k, rho_tau = y_tau - z_tau and
     sig_tau = -a^2 y_(tau-1).  So each lag sum is a few convolutions of
     length-n sequences.  At tau = n + m, rho, sig and c are a^m (p + q m),
-    and their sums of products over m >= 0 have closed forms.  n = 1 has
-    no companion form; there the one table entry is the whole sum.
+    and their sums of products over m >= 0 have closed forms.
     """
     s_inv = stats.sigma_inv
     n = shrink.size
@@ -370,16 +346,35 @@ def _v_b3_12(stats: SecondOrderStats, shrink: np.ndarray, sigma2: float) -> np.n
 def ls_error_covariances(
     stats: SecondOrderStats, sigma2: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First- and second-order covariance of the scaled LS error.
+    """First- and second-order covariance of the scaled LS error: v1 =
+    sigma2 S and v2 = sigma2 S unvec(C vec S) S, S = Sigma^-1, so that
+    v_als = v1 + v2 / N.
 
-    Returns (v1, v2) with v1 = sigma2 Sigma^-1 and
-    v2 = sigma2 * unvec[(Sigma^-1 kron Sigma^-1) C vec(Sigma^-1)], with C
-    applied from its lag table ``stats.c_gamma``; v_als = v1 + v2 / N.
+    For n >= 2 the regressor is the state of the companion matrix A (first
+    row (2a, -a^2, 0, ...), ones below the diagonal), so Gamma(tau) = A^tau
+    Sigma for tau >= 0, Gamma(-tau) = Gamma(tau)' and tr A^tau = 2 a^tau for
+    tau >= 1.  Bartlett's formula (Brockwell and Davis, 1991, sec. 7.2)
+    gives N E[D X D], D = Phi'Phi/N - Sigma, for a symmetric X as
+
+        sum_tau [Gamma(tau) X Gamma(tau) + <Gamma(tau), X> Gamma(tau)]
+            + (kappa - 3) Sigma X Sigma,
+
+    so v2 / sigma2 = S R + (S R)' + (n + kappa - 4) S with two resolvents,
+    R = (I - A^2)^-1 + 2a A (I - aA)^-1: O(n^3) flops and O(n^2) memory.
+    n = 1 has no companion form; there the one table entry is the whole sum.
     """
     s_inv = stats.sigma_inv
+    n = s_inv.shape[0]
     v1 = sigma2 * s_inv
-    v2 = sigma2 * s_inv @ gram_contraction(stats.c_gamma, s_inv) @ s_inv
-    return v1, _sym(v2)
+    if n == 1:
+        return v1, sigma2 * s_inv**3 * stats.c_gamma
+    a, kappa = stats.filt.kind.a, stats.filt.kurtosis_ratio
+    comp = np.eye(n, k=-1)
+    comp[0, :2] = 2.0 * a, -a * a
+    eye = _eye(n)
+    # 2a A (I - aA)^-1 = 2 (I - aA)^-1 - 2I, so q = S (R + 2I)
+    q = s_inv @ (np.linalg.inv(eye - comp @ comp) + 2.0 * np.linalg.inv(eye - a * comp))
+    return v1, sigma2 * (q + q.T + (n + kappa - 8.0) * s_inv)
 
 
 def regularized_error_moments(
@@ -393,7 +388,7 @@ def regularized_error_moments(
     N-independent mean and covariance blocks of the third-order law of the
     scaled regularized-estimate error, next to the hyper-parameter blocks of
     ``law``.  The inverses of P(eta*), a_b and Sigma are read from ``law``
-    and ``stats``."""
+    and ``stats``.  A block that holds NaN or infinity raises NonFiniteError."""
     theta0 = np.asarray(theta0, dtype=float)
     sigma2 = noise.sigma2
     p_inv, s_inv = law.p_inv, stats.sigma_inv
@@ -401,7 +396,7 @@ def regularized_error_moments(
     shrink = p_inv @ theta0
     w = s_inv @ shrink
     v1, v2 = ls_error_covariances(stats, sigma2)
-    return AsymptoticReport(
+    report = AsymptoticReport(
         eta_star=law.eta_star,
         a_b=law.a_b,
         b_b=law.b_b,
@@ -417,6 +412,10 @@ def regularized_error_moments(
         n_samples=n_samples,
         cond_sigma=stats.cond,
     )
+    bad = [k for k, v in report.blocks().items() if not np.isfinite(v).all()]
+    if bad:
+        raise NonFiniteError(f"non-finite {', '.join(bad)} in the limit report")
+    return report
 
 
 def asymptotic_report(

@@ -1,5 +1,5 @@
 """Reference code that only the tests read: the column-stacking operator,
-a 60-digit rank-1 Gram contraction, a truncated impulse response with the
+a 60-digit Gram contraction, a truncated impulse response with the
 finite series that check the double-pole closed forms against it,
 noise-free records, and the per-record expansion of the scaled estimation
 errors, whose two decompositions hold as algebraic identities on simulated
@@ -54,15 +54,12 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-def exact_rank1_contraction(
-    filt: FilterSpec, shrink: np.ndarray, dps: int = 60
-) -> np.ndarray:
-    """S unvec(C vec(x x')) S at ``dps`` digits, with x = S shrink, where
-    Sigma, S = Sigma^-1 and the c_gamma table of C are evaluated at that
-    precision from their closed forms, and the float64 ``shrink`` is taken
-    exactly.  It is the reference for the report's v_b3_12 at unit noise
-    variance; entries are mpmath numbers."""
-    n = shrink.size
+def exact_gram_contraction(filt: FilterSpec, n: int, middle, dps: int = 60) -> np.ndarray:
+    """S unvec(C vec(X)) S at ``dps`` digits, with X = middle(S) symmetric,
+    where Sigma, S = Sigma^-1 and the c_gamma table of C are evaluated at that
+    precision from their closed forms.  ``middle`` maps the mpmath object
+    array S to X and runs at that precision too; entries are mpmath
+    numbers."""
     with mpmath.workdps(dps):
         a, c_u = mpmath.mpf(filt.kind.a), mpmath.mpf(filt.kind.c_u)
         one = 1 - a * a
@@ -87,12 +84,33 @@ def exact_rank1_contraction(
             return c_u**4 / one**6 * (first + series[abs(k - l)] + series[k + l])
 
         table = np.array([[entry(k, l) for l in range(n)] for k in range(n)], dtype=object)
-        x = s.dot(np.array([mpmath.mpf(float(v)) for v in shrink], dtype=object))
+        flat = middle(s).T.ravel()  # X[r', d] at position d n + r'
         lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-        w = np.array([table[k][lag].dot(x) for k in range(n)], dtype=object)  # (k, r)
-        # unvec(C vec(x x'))[:, c] = sum_d toeplitz(table[|c - d|]) x x_d
-        mid = np.stack([x.dot(w[lag[c]]) for c in range(n)], axis=1)
+        # unvec(C vec(X))[r, c] = sum_(d, r') table[|c - d|, |r - r'|] X[r', d]
+        mid = np.empty((n, n), dtype=object)
+        for r in range(n):
+            for c in range(n):
+                mid[r, c] = mpmath.fdot(table[lag[c][:, None], lag[r]].ravel(), flat)
         return s.dot(mid).dot(s)
+
+
+def exact_rank1_contraction(filt: FilterSpec, shrink: np.ndarray) -> np.ndarray:
+    """The 60-digit :func:`exact_gram_contraction` of x x', x = S shrink, with
+    the float64 ``shrink`` taken exactly: the reference for the report's
+    v_b3_12 at unit noise variance."""
+    exact = np.array([mpmath.mpf(float(v)) for v in shrink], dtype=object)
+
+    def middle(s):
+        x = s.dot(exact)
+        return np.outer(x, x)
+
+    return exact_gram_contraction(filt, shrink.size, middle)
+
+
+def exact_v_als_2(filt: FilterSpec, n: int) -> np.ndarray:
+    """The 60-digit :func:`exact_gram_contraction` of S itself: the reference
+    for the report's v_als_2 at unit noise variance."""
+    return exact_gram_contraction(filt, n, lambda s: s)
 
 
 def impulse_response(filt: FilterSpec, tail_tol: float) -> np.ndarray:

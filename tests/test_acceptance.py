@@ -345,8 +345,8 @@ def test_criterion_8_pole_sweep_monotonicity():
     grid = [0.99 * (i + 1) / points for i in range(points)]
     stats_by_point = []
     for a in grid:
-        unit_stats = second_order_stats(FilterSpec(SecondOrderAR(a=a, c_u=1.0)), n)
-        cu2 = 1.0 / float(unit_stats.eigenvalues[0])
+        unit = sigma_matrix(FilterSpec(SecondOrderAR(a=a, c_u=1.0)), n)
+        cu2 = 1.0 / float(np.linalg.eigh(unit)[0][-1])
         filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(cu2)))
         stats_by_point.append((filt, second_order_stats(filt, n)))
 

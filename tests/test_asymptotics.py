@@ -24,7 +24,6 @@ from firasym import (
     eb_cost,
     eb_estimate,
     eta_star,
-    gram_contraction,
     generate_input,
     generate_t1,
     kernel_matrix,
@@ -40,6 +39,7 @@ from firasym.montecarlo import _SYSTEM_TAG
 from oracles import (
     REPORT_FIELDS,
     exact_rank1_contraction,
+    exact_v_als_2,
     expansion_terms,
     impulse_response,
     noise_free_dataset,
@@ -85,10 +85,13 @@ class TestSigmaMatrix:
         np.testing.assert_allclose(sigma_matrix(filt, 12), series, rtol=1e-8)
 
     def test_scale_covariance_of_condition_number(self):
-        base = second_order_stats(FilterSpec(SecondOrderAR(a=0.6, c_u=1.0)), 10)
-        scaled = second_order_stats(FilterSpec(SecondOrderAR(a=0.6, c_u=3.0)), 10)
-        np.testing.assert_allclose(scaled.sigma, 9.0 * base.sigma, rtol=1e-12)
-        assert scaled.cond == pytest.approx(base.cond, rel=1e-12)
+        base = FilterSpec(SecondOrderAR(a=0.6, c_u=1.0))
+        scaled = FilterSpec(SecondOrderAR(a=0.6, c_u=3.0))
+        np.testing.assert_allclose(
+            sigma_matrix(scaled, 10), 9.0 * sigma_matrix(base, 10), rtol=1e-12
+        )
+        cond = second_order_stats(base, 10).cond
+        assert second_order_stats(scaled, 10).cond == pytest.approx(cond, rel=1e-12)
 
 
 class TestGramFourthMoments:
@@ -147,36 +150,38 @@ def rel_error(got, ref) -> float:
 
 
 class TestGramContraction:
-    """gram_contraction applies the fourth-moment matrix from its lag table."""
+    """The two blocks that contract the fourth-moment matrix, v_als_2 and
+    v_b3_12, against its lag table and against 60-digit references."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["f64", "ld"])
     @pytest.mark.parametrize("a", [0.0, 0.3])
     @pytest.mark.parametrize("n", [3, 10, 20])
     def test_matches_dense_product(self, n, a, dtype):
-        table = c_gamma(FilterSpec(SecondOrderAR(a=a, c_u=1.1 * math.sqrt(0.9))), n)
-        dense = expand_c_gamma(table).astype(dtype)
-        mat = np.random.default_rng(n).standard_normal((n, n)).astype(dtype)
-        got = gram_contraction(table, mat)
-        ref = unvec(dense @ vec(mat))
-        assert got.dtype == dtype
+        # v_als_2 = S unvec(C vec S) S at unit noise variance, with C
+        # expanded from its lag table and the product taken in ``dtype``
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=1.1 * math.sqrt(0.9)))
+        stats = second_order_stats(filt, n)
+        dense = expand_c_gamma(stats.c_gamma).astype(dtype)
+        s_inv = stats.sigma_inv.astype(dtype)
+        ref = s_inv @ unvec(dense @ vec(s_inv)) @ s_inv
+        got = ls_error_covariances(stats, 1.0)[1]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("a", [0.7, 0.95])
     def test_no_less_accurate_than_dense_product(self, a):
-        # v_als_2 against 50-digit evaluations of the same float64 inputs;
-        # at strong poles both paths lose digits to cancellation (v_als_2
-        # ~1e-6 at a = 0.95)
+        # v_als_2 against the 60-digit contraction of the exact Sigma^-1 and
+        # table, next to the dense product of the float64 ones; at strong
+        # poles the float64 table is itself off in its last digits
         n = 10
         filt = FilterSpec(SecondOrderAR(a=a, c_u=1.0))
         stats = second_order_stats(filt, n)
         table, s_inv = stats.c_gamma, stats.sigma_inv
         dense = expand_c_gamma(table)
-        with mpmath.workdps(50):
-            c_mp, s_mp = to_mp(dense), to_mp(s_inv)
-            ref = s_mp @ unvec(c_mp @ vec(s_mp)) @ s_mp
-            dense_v2 = asymptotics._sym(s_inv @ unvec(dense @ vec(s_inv)) @ s_inv)
-            matrix_free_v2 = ls_error_covariances(stats, 1.0)[1]
-            assert rel_error(matrix_free_v2, ref) <= rel_error(dense_v2, ref)
+        ref = exact_v_als_2(filt, n)
+        dense_v2 = asymptotics._sym(s_inv @ unvec(dense @ vec(s_inv)) @ s_inv)
+        closed_v2 = ls_error_covariances(stats, 1.0)[1]
+        with mpmath.workdps(60):
+            assert rel_error(closed_v2, ref) <= rel_error(dense_v2, ref)
 
         # v_b3_12 at P(eta*) = I against the 60-digit contraction of the
         # exact Sigma^-1 and x = Sigma^-1 theta, next to the dense product of
@@ -192,6 +197,32 @@ class TestGramContraction:
             dense_r1 = asymptotics._sym((s_ld @ mid @ s_ld).astype(float))
             with mpmath.workdps(60):
                 assert rel_error(lag_sums, ref) <= rel_error(dense_r1, ref)
+
+    @pytest.mark.parametrize("kurtosis_ratio", [3.0, 5.0])
+    @pytest.mark.parametrize(
+        "n,a,bound",
+        [
+            (20, 0.3, 1e-14),
+            (20, 0.7, 1e-13),
+            (20, 0.9, 1e-11),
+            (20, 0.95, 1e-10),
+            (20, 0.99, 1e-8),
+            (1, 0.7, 1e-13),
+            (1, 0.99, 1e-9),
+            (2, 0.7, 1e-13),
+            (2, 0.99, 1e-9),
+            (3, 0.7, 1e-13),
+            (3, 0.99, 1e-9),
+        ],
+    )
+    def test_v_als_2_matches_60_digits(self, n, a, bound, kurtosis_ratio):
+        # the float64 Sigma^-1 the block starts from is itself off by ~6e-10
+        # at a = 0.99, n = 20
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)), kurtosis_ratio)
+        got = ls_error_covariances(second_order_stats(filt, n), 1.0)[1]
+        ref = exact_v_als_2(filt, n)
+        with mpmath.workdps(60):
+            assert rel_error(got, ref) <= bound
 
     @pytest.mark.parametrize("kurtosis_ratio", [3.0, 5.0])
     @pytest.mark.parametrize(
@@ -376,6 +407,17 @@ class TestLsErrorCovariances:
         v1, _ = ls_error_covariances(stats, 0.9)
         np.testing.assert_allclose(v1, 0.9 * np.eye(6), rtol=1e-14)
 
+    def test_allocates_no_dense_fourth_moment_object(self):
+        # the lag-table contraction peaked at 23 MB here: an n^3 array
+        stats = second_order_stats(FilterSpec(SecondOrderAR(a=0.7, c_u=1.0)), 100)
+        tracemalloc.start()
+        try:
+            ls_error_covariances(stats, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
     def test_second_order_block_psd(self):
         stats = second_order_stats(FilterSpec(SecondOrderAR(a=0.7, c_u=0.5)), 10)
         _, v2 = ls_error_covariances(stats, 1.0)
@@ -404,13 +446,13 @@ class TestRegularizedErrorMoments:
         expected = (
             -(n * self.noise.sigma2 / s)
             / math.sqrt(1000)
-            * np.linalg.solve(self.stats.sigma, self.theta)
+            * np.linalg.solve(sigma_matrix(self.filt, 12), self.theta)
         )
         np.testing.assert_allclose(self.t3.e_b_ar, expected, rtol=1e-10)
 
     def test_ridge_second_order_covariance_block(self):
         n, s = self.theta.size, float(self.theta @ self.theta)
-        s_inv = np.linalg.inv(self.stats.sigma)
+        s_inv = np.linalg.inv(sigma_matrix(self.filt, 12))
         st = s_inv @ self.theta
         sigma2 = self.noise.sigma2
         expected = (2 * n * sigma2**2 / s**2) * np.outer(st, st) - (

@@ -232,6 +232,16 @@ class TestAsymCommand:
         assert "numerical failure: " in capsys.readouterr().err
         assert not (tmp_path / "asym_report.json").exists()
 
+    def test_non_finite_report_is_a_numerical_failure(self, tmp_path, capsys):
+        # Sigma^-1 ~ 1e150, so v_b3_11 ~ Sigma^-3 overflows: nothing is written
+        change = {"system": {"type": "T1", "n": 20}, "filter": {"a": 0.7, "cu2": 1e-150}}
+        cfg = write_config(tmp_path, dict(CRITERION_9_ASYM, **change))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite v_b3_11, " in err
+        assert "in the limit report" in err
+        assert not (tmp_path / "asym_report.json").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a zero truth pushes the analytic ridge optimum out of the box
         broken = dict(ASYM_CONFIG, theta0=[0.0, 0.0, 0.0, 0.0])
@@ -248,6 +258,18 @@ class TestMcCommand:
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "numerical failure: " in capsys.readouterr().err
         assert not (tmp_path / "records.csv").exists()
+
+    def test_non_finite_theory_is_a_numerical_failure(self, tmp_path, capsys):
+        # the records fit, but the limit report's v_b3_11 overflows, and with
+        # it the aggregates' amse_3
+        change = {"n": 20, "N": 200, "filters": [[0.7, 1e-150]], "records": 2}
+        payload = dict(MC_CONFIG, system={"type": "T1", "count": 1}, **change)
+        cfg = write_config(tmp_path, payload)
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite v_b3_11, " in err
+        assert not (tmp_path / "records.csv").exists()
+        assert not (tmp_path / "aggregates.json").exists()
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, MC_CONFIG)
@@ -704,9 +726,15 @@ INPUT_ONLY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.ndimage")
 SEARCH_ONLY_SCIPY = ("scipy.optimize", "scipy.special")
 
 
+# Test dependencies: loading one from src/ would break an install without
+# them, and would show as start-up time.
+TEST_ONLY = ("mpmath", "hypothesis", "sympy")
+
+
 def fresh_process_run(*commands):
     """Run each argument list through ``cli.main`` in one new interpreter;
-    return the exit codes and the ``scipy.*`` modules loaded afterwards.
+    return the exit codes and the ``scipy.*`` modules and ``TEST_ONLY``
+    packages loaded afterwards.
 
     A new process is needed because this one has imported scipy.signal.
     """
@@ -715,7 +743,8 @@ def fresh_process_run(*commands):
         "import firasym.cli as cli\n"
         "codes = [cli.main(args) for args in json.loads(sys.argv[1])]\n"
         "scipy = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
-        "print(json.dumps([codes, scipy]))\n"
+        f"tests = [m for m in {TEST_ONLY!r} if m in sys.modules]\n"
+        "print(json.dumps([codes, scipy + tests]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(firasym.__file__)))
     done = subprocess.run(
@@ -738,6 +767,7 @@ def test_asym_and_sweep_import_no_input_modules(tmp_path):
     assert codes == [0, 0]
     assert modules.isdisjoint(INPUT_ONLY_SCIPY)
     assert modules.isdisjoint(SEARCH_ONLY_SCIPY)
+    assert modules.isdisjoint(TEST_ONLY)
 
 
 def test_mc_loads_the_input_filter_on_demand(tmp_path):
@@ -747,6 +777,7 @@ def test_mc_loads_the_input_filter_on_demand(tmp_path):
     )
     assert codes == [0]
     assert "scipy.signal" in modules
+    assert modules.isdisjoint(TEST_ONLY)
 
 
 def test_tc_asym_loads_the_search_on_demand(tmp_path):
@@ -754,6 +785,7 @@ def test_tc_asym_loads_the_search_on_demand(tmp_path):
     codes, modules = fresh_process_run(["asym", "--config", cfg, "--out", str(tmp_path)])
     assert codes == [0]
     assert "scipy.optimize" in modules
+    assert modules.isdisjoint(TEST_ONLY)
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
