@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, asymptotics
 from .asymptotics import asymptotic_report, ridge_report, sigma_matrix
-from .errors import ConfigError, FirasymError, SingularHessianWarning
+from .errors import ConfigError, FirasymError, NonFiniteError, SingularHessianWarning
 from .estimators import KernelSpec, OptimizerOptions
 from .montecarlo import (
     _SYSTEM_TAG,
@@ -364,6 +364,10 @@ def _first_decrease(values: list[float]) -> int:
     return len(values)
 
 
+# the columns of sweep.csv after n_samples, a and cu2
+_SWEEP_COLUMNS = ("cond_sigma", "e_b_ar_sq_norm", "trace_v_als", "trace_v_b_ar")
+
+
 def cmd_sweep(args) -> int:
     rng = derive_stream(args.seed, _SYSTEM_TAG, 0)
     theta0 = generate_t1(args.n, rng).theta0
@@ -397,20 +401,16 @@ def cmd_sweep(args) -> int:
         for n_samples, rows, cols in summaries:
             report = dataclasses.replace(blocks, n_samples=n_samples)
             doc = report.summary()
-            cols["cond"].append(report.cond_sigma)
-            cols["bias"].append(doc["e_b_ar_sq_norm"])
-            cols["v_als"].append(doc["trace_v_als"])
-            cols["v_ar"].append(doc["trace_v_b_ar"])
-            rows.append(
-                f"{n_samples},{a!r},{cu2!r},{report.cond_sigma!r},"
-                f"{doc['e_b_ar_sq_norm']!r},{doc['trace_v_als']!r},"
-                f"{doc['trace_v_b_ar']!r}\n"
-            )
+            values = [report.cond_sigma] + [doc[name] for name in _SWEEP_COLUMNS[1:]]
+            # checked before the file opens, so a failed sweep writes nothing
+            for name, col, value in zip(_SWEEP_COLUMNS, cols.values(), values):
+                if not math.isfinite(value):
+                    raise NonFiniteError(f"{name} is {value} at a = {a!r}, N = {n_samples}")
+                col.append(value)
+            rows.append(f"{n_samples},{a!r},{cu2!r}," + ",".join(map(repr, values)) + "\n")
     with open(out_path, "w") as handle:
         write_header(handle, header)
-        handle.write(
-            "n_samples,a,cu2,cond_sigma,e_b_ar_sq_norm,trace_v_als,trace_v_b_ar\n"
-        )
+        handle.write(",".join(["n_samples", "a", "cu2", *_SWEEP_COLUMNS]) + "\n")
         for _, rows, _ in summaries:
             handle.writelines(rows)
     for n_samples, _, cols in summaries:

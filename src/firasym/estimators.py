@@ -232,43 +232,65 @@ _TABLE_CACHE: dict[tuple[str, int], dict] = {}
 
 
 def _kernel_tables(family: str, n: int) -> dict:
-    """Read-only index and exponent tables of a family's kernel at order n.
+    """Read-only exponent, index and coefficient tables of a family's kernel
+    at order n.
 
-    They do not depend on eta, so they are built on first use and shared by
-    every later call; each entry of ``pow`` is the _power_table of the
-    exponent of that name.
+    The kernel takes only O(n) distinct powers of each hyper-parameter, so
+    each power is raised once per point over an exponent row of shape
+    (1, K) and gathered into the n x n matrix by an integer index grid:
+    "al^m" indexes the row "al" at exponent m, "rho^d" the signed row
+    ``pow["rho"]`` (its _power_table) at exponent d.  An index grid clamps
+    an exponent to zero only where its polynomial coefficient vanishes, as
+    _signed_pow does.  The float grids ("m", "s-1", ...) are those
+    coefficients.  Nothing depends on eta, so the tables are built on first
+    use and shared by every later call.
     """
     tables = _TABLE_CACHE.get((family, n))
     if tables is not None:
         return tables
-    idx = np.arange(1, n + 1, dtype=float)
+    idx = np.arange(1, n + 1)
     i = idx[:, None]
     j = idx[None, :]
+    m = np.maximum(i, j)
+    d = np.abs(i - j)
     if family == "tc":
-        m = np.maximum(i, j)
-        grid = {"m": m, "m-1": m - 1, "m-2": m - 2}
-        signed = ("m-1", "m-2")
+        coef = {"m": m, "m-1": m - 1}
+        rows, signed = {"al": np.arange(n + 1)}, {}
+        index = {"al^m": m, "al^m-1": m - 1, "al^m-2": np.maximum(m - 2, 0)}
     elif family == "ss":
-        m = np.maximum(i, j)
-        e1 = i + j + m
-        e2 = 3.0 * m
-        grid = {
-            "e1": e1, "e1-1": e1 - 1, "e1-2": e1 - 2,
-            "e2": e2, "e2-1": e2 - 1, "e2-2": e2 - 2,
+        e1, e2 = i + j + m, 3 * m
+        coef = {"e1": e1, "e1-1": e1 - 1, "e2": e2, "e2-1": e2 - 1}
+        rows, signed = {"al": np.arange(3 * n + 1)}, {}
+        index = {
+            "al^e1": e1, "al^e1-1": e1 - 1, "al^e1-2": e1 - 2,
+            "al^e2": e2, "al^e2-1": e2 - 1, "al^e2-2": e2 - 2,
         }
-        signed = ()
     elif family == "dc":
-        s = (i + j) / 2.0
-        d = np.abs(i - j)
-        grid = {"s": s, "s-1": s - 1, "s-2": s - 2, "d": d, "d-1": d - 1, "d-2": d - 2}
-        signed = ("d", "d-1", "d-2")
+        # the alpha row holds the half-integer exponents -1, -1/2, ..., n of
+        # s = (i + j)/2, so exponent s sits at index i + j + 2
+        coef = {"s": (i + j) / 2.0, "s-1": (i + j) / 2.0 - 1, "d": d, "d-1": d - 1}
+        rows = {"al": np.arange(-2, 2 * n + 1) / 2.0}
+        signed = {"rho": np.arange(n)}
+        index = {
+            "al^s": i + j + 2, "al^s-1": i + j, "al^s-2": i + j - 2,
+            "rho^d": d, "rho^d-1": np.maximum(d - 1, 0), "rho^d-2": np.maximum(d - 2, 0),
+        }
     else:
-        grid, signed = {}, ()
-    tables = dict(grid, pow={name: _power_table(grid[name]) for name in signed})
-    for arr in list(grid.values()) + [a for pair in tables["pow"].values() for a in pair]:
+        coef, rows, signed, index = {}, {}, {}, {}
+    tables = {name: grid.astype(float) for name, grid in coef.items()}
+    tables.update((name, row[None, :].astype(float)) for name, row in rows.items())
+    tables.update((name, grid.astype(np.intp)) for name, grid in index.items())
+    pow_ = {name: _power_table(row[None, :].astype(float)) for name, row in signed.items()}
+    for arr in list(tables.values()) + [a for pair in pow_.values() for a in pair]:
         arr.setflags(write=False)
+    tables["pow"] = pow_
     _TABLE_CACHE[family, n] = tables
     return tables
+
+
+def _gather(row: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Entries of the power rows (..., 1, K) at an index grid (n, n)."""
+    return row[..., 0, grid]
 
 
 def kernel_matrix(
@@ -288,10 +310,10 @@ def kernel_matrix(
     # hyper-parameters as (..., 1, 1) arrays, broadcast over the index grid
     par = [eta[..., k, None, None] for k in range(spec.p)]
     t = _kernel_tables(spec.family, n)
-    pw = t["pow"]
 
     # d1 holds dP[k]; d2() gives d2P[k, l] for k <= l, absent entries are
-    # zero (deferred: the gradient path has no use for it)
+    # zero (deferred: the gradient path has no use for it).  Every decay
+    # rate alpha lies in (0, 1), so its powers are taken directly
     if spec.family == "ridge":
         P = par[0] * _eye(n)
         if order == 0:
@@ -300,48 +322,52 @@ def kernel_matrix(
     elif spec.family == "tc":
         c, al = par
         m = t["m"]
-        base = al**m
+        pa = al ** t["al"]
+        base = _gather(pa, t["al^m"])
         P = c * base
         if order == 0:
             return (P,)
-        dal = m * _signed_pow(al, *pw["m-1"])
+        dal = m * _gather(pa, t["al^m-1"])
         d1 = (base, c * dal)
-        d2 = lambda: {(0, 1): dal, (1, 1): c * m * t["m-1"] * _signed_pow(al, *pw["m-2"])}
+        d2 = lambda: {(0, 1): dal, (1, 1): c * m * t["m-1"] * _gather(pa, t["al^m-2"])}
     elif spec.family == "ss":
         c, al = par
         e1, e2 = t["e1"], t["e2"]
-        base = al**e1 / 2.0 - al**e2 / 6.0
+        pa = al ** t["al"]
+        at = lambda name: _gather(pa, t["al^" + name])
+        base = at("e1") / 2.0 - at("e2") / 6.0
         P = c * base
         if order == 0:
             return (P,)
-        dal = e1 * al ** t["e1-1"] / 2.0 - e2 * al ** t["e2-1"] / 6.0
+        dal = e1 * at("e1-1") / 2.0 - e2 * at("e2-1") / 6.0
         d1 = (base, c * dal)
         d2 = lambda: {
             (0, 1): dal,
             (1, 1): c * (
-                e1 * t["e1-1"] * al ** t["e1-2"] / 2.0
-                - e2 * t["e2-1"] * al ** t["e2-2"] / 6.0
+                e1 * t["e1-1"] * at("e1-2") / 2.0 - e2 * t["e2-1"] * at("e2-2") / 6.0
             ),
         }
     else:
-        # dc; alpha is strictly positive so its (possibly negative) powers
-        # are taken directly, while integer rho exponents are clamped
+        # dc; the correlation rho may be negative, so its integer powers
+        # come from the signed row
         c, al, rho = par
         s, d = t["s"], t["d"]
-        rd = _signed_pow(rho, *pw["d"])
-        als = al**s
+        pa = al ** t["al"]
+        pr = _signed_pow(rho, *t["pow"]["rho"])
+        rd = _gather(pr, t["rho^d"])
+        als = _gather(pa, t["al^s"])
         P = c * als * rd
         if order == 0:
             return (P,)
-        rd1 = d * _signed_pow(rho, *pw["d-1"])
-        als1 = s * al ** t["s-1"]
+        rd1 = d * _gather(pr, t["rho^d-1"])
+        als1 = s * _gather(pa, t["al^s-1"])
         d1 = (als * rd, c * als1 * rd, c * als * rd1)
         d2 = lambda: {
             (0, 1): als1 * rd,
             (0, 2): als * rd1,
-            (1, 1): c * s * t["s-1"] * al ** t["s-2"] * rd,
+            (1, 1): c * s * t["s-1"] * _gather(pa, t["al^s-2"]) * rd,
             (1, 2): c * als1 * rd1,
-            (2, 2): c * als * d * t["d-1"] * _signed_pow(rho, *pw["d-2"]),
+            (2, 2): c * als * d * t["d-1"] * _gather(pr, t["rho^d-2"]),
         }
 
     lead = eta.shape[:-1] + (spec.p,)

@@ -64,8 +64,9 @@ class ExperimentConfig:
         # every run rule; each message starts with the rule's config path
         if self.system_type not in ("T1", "T2", "explicit"):
             raise ValueError("system.type: expected T1, T2 or explicit")
-        counts = {"n": self.n, "records": self.records, "system.count": self.systems}
-        for path, count in counts.items():
+        if self.n < 2:  # the fit score fit_g needs two coefficients
+            raise ValueError("n: expected >= 2")
+        for path, count in {"records": self.records, "system.count": self.systems}.items():
             if count < 1:
                 raise ValueError(f"{path}: expected >= 1")
         if self.n_samples <= self.n:

@@ -1,5 +1,6 @@
 """Reference code that only the tests read: the column-stacking operator,
-a 60-digit Gram contraction, a truncated impulse response with the
+a 60-digit Gram contraction, the kernel matrices by entrywise powers, a
+truncated impulse response with the
 finite series that check the double-pole closed forms against it,
 noise-free records, and the per-record expansion of the scaled estimation
 errors, whose two decompositions hold as algebraic identities on simulated
@@ -21,7 +22,7 @@ from firasym import (
     kernel_matrix,
     lag_matrix,
 )
-from firasym.estimators import _pd_inverse
+from firasym.estimators import _pd_inverse, _power_table, _signed_pow
 
 # the matrix and vector blocks that two report paths must agree on
 REPORT_FIELDS = [
@@ -166,6 +167,61 @@ def series_c_gamma(h: np.ndarray, n: int, kurtosis_ratio: float = 3.0) -> np.nda
     l = np.arange(n)[None, :]
     excess = kurtosis_ratio - 3.0
     return excess * np.outer(r[:n], r[:n]) + sums[np.abs(k - l)] + sums[k + l]
+
+
+def entrywise_kernel(spec: KernelSpec, eta: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """(P, dP, d2P) of ``kernel_matrix`` with each entry's power raised
+    directly over the n x n exponent grid, as it was before the powers came
+    from O(n) rows.  The operations and their order are the same, so the two
+    agree bit for bit wherever numpy raises both powers alike."""
+    eta = np.asarray(eta, dtype=float)
+    par = [eta[..., k, None, None] for k in range(spec.p)]
+    idx = np.arange(1, n + 1, dtype=float)
+    i, j = idx[:, None], idx[None, :]
+    m = np.maximum(i, j)
+    if spec.family == "ridge":
+        P, d1, d2 = par[0] * np.eye(n), [np.eye(n)], {}
+    elif spec.family == "tc":
+        c, al = par
+        base, dal = al**m, m * al ** (m - 1)
+        P, d1 = c * base, [base, c * dal]
+        d2 = {(0, 1): dal, (1, 1): c * m * (m - 1) * al ** np.maximum(m - 2, 0)}
+    elif spec.family == "ss":
+        c, al = par
+        e1, e2 = i + j + m, 3.0 * m
+        base = al**e1 / 2.0 - al**e2 / 6.0
+        dal = e1 * al ** (e1 - 1) / 2.0 - e2 * al ** (e2 - 1) / 6.0
+        P, d1 = c * base, [base, c * dal]
+        d2 = {
+            (0, 1): dal,
+            (1, 1): c * (
+                e1 * (e1 - 1) * al ** (e1 - 2) / 2.0 - e2 * (e2 - 1) * al ** (e2 - 2) / 6.0
+            ),
+        }
+    else:
+        c, al, rho = par
+        s, d = (i + j) / 2.0, np.abs(i - j)
+
+        def rho_pow(expo):
+            return _signed_pow(rho, *_power_table(expo))
+
+        rd, rd1, als, als1 = rho_pow(d), d * rho_pow(d - 1), al**s, s * al ** (s - 1)
+        P, d1 = c * als * rd, [als * rd, c * als1 * rd, c * als * rd1]
+        d2 = {
+            (0, 1): als1 * rd,
+            (0, 2): als * rd1,
+            (1, 1): c * s * (s - 1) * al ** (s - 2) * rd,
+            (1, 2): c * als1 * rd1,
+            (2, 2): c * als * d * (d - 1) * rho_pow(d - 2),
+        }
+    lead = eta.shape[:-1] + (spec.p,)
+    dP = np.zeros(lead + (n, n))
+    d2P = np.zeros(lead + (spec.p, n, n))
+    for k, term in enumerate(d1):
+        dP[..., k, :, :] = term
+    for (k, l), term in d2.items():
+        d2P[..., k, l, :, :] = d2P[..., l, k, :, :] = term
+    return P, dP, d2P
 
 
 def noise_free_dataset(system: FirSystem, u: np.ndarray) -> Dataset:

@@ -391,6 +391,17 @@ class TestMcCommand:
         assert f"{path}:" in capsys.readouterr().err
         assert not (tmp_path / "records.csv").exists()
 
+    def test_order_one_is_refused_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # fit_g, the fit score, needs two coefficients, so every n = 1 record
+        # would fail after its whole fit
+        def no_run(*args, **kwargs):
+            raise AssertionError("mc ran an experiment")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        cfg = write_config(tmp_path, dict(MC_CONFIG, n=1, N=100))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "field n: expected >= 2" in capsys.readouterr().err
+
 
 class TestTableCommand:
     def test_smoke_and_artifact(self, tmp_path, capsys):
@@ -491,6 +502,14 @@ class TestSweepCommand:
                 f"{doc['e_b_ar_sq_norm']!r},{doc['trace_v_als']!r},"
                 f"{doc['trace_v_b_ar']!r}"
             )
+
+    def test_non_finite_summary_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # v_b3_11 carries sigma2^3 Sigma^-3 and overflows at the largest pole
+        args = ["sweep", "--grid-points", "3", "--n", "6", "--N", "1000", "--sigma2", "1e100"]
+        assert main(args + ["--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "trace_v_b_ar is inf at a = 0.98" in err and "N = 1000" in err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestFlagValidation:
@@ -717,10 +736,15 @@ def test_import_defaults_blas_threads_to_one(preset):
     assert done.stdout.split() == [preset or "1", "1", "1"]
 
 
-# scipy.signal (with the scipy.stats it loads) is needed only to filter an
-# input, and scipy.ndimage by nothing; `asym` and `sweep` must not pay for
-# importing them.
-INPUT_ONLY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.ndimage")
+# scipy.signal and the modules it loads: firasym.signals runs its own input
+# filter, so no command may pay for importing them.
+INPUT_ONLY_SCIPY = (
+    "scipy.signal",
+    "scipy.stats",
+    "scipy.interpolate",
+    "scipy.integrate",
+    "scipy.ndimage",
+)
 # scipy.optimize and scipy.special serve only the hyper-parameter search,
 # which the closed-form ridge theory of `sweep` and a ridge `asym` skips.
 SEARCH_ONLY_SCIPY = ("scipy.optimize", "scipy.special")
@@ -736,7 +760,8 @@ def fresh_process_run(*commands):
     return the exit codes and the ``scipy.*`` modules and ``TEST_ONLY``
     packages loaded afterwards.
 
-    A new process is needed because this one has imported scipy.signal.
+    A new process is needed because this one has imported scipy.signal (the
+    input oracles of test_signals.py use it).
     """
     code = (
         "import json, sys\n"
@@ -770,14 +795,24 @@ def test_asym_and_sweep_import_no_input_modules(tmp_path):
     assert modules.isdisjoint(TEST_ONLY)
 
 
-def test_mc_loads_the_input_filter_on_demand(tmp_path):
-    cfg = write_config(tmp_path, dict(MC_CONFIG, records=1, system={"type": "T1", "count": 1}))
+def test_mc_table1_and_t2_asym_load_no_input_modules(tmp_path):
+    # each draws a filtered input or a T2 truth, by firasym's own recursion;
+    # of them only mc searches
+    t2 = write_config(tmp_path, dict(CRITERION_9_ASYM, system={"type": "T2", "n": 12}), "t2.json")
     codes, modules = fresh_process_run(
-        ["mc", "--config", cfg, "--threads", "1", "--out", str(tmp_path)]
+        ["table1", "--a", "0.3", "--n", "8", "--N", "150", "--records", "2",
+         "--out", str(tmp_path / "t")],
+        ["asym", "--config", t2, "--out", str(tmp_path / "a")],
+    )
+    assert codes == [0, 0]
+    assert modules.isdisjoint(INPUT_ONLY_SCIPY + SEARCH_ONLY_SCIPY + TEST_ONLY)
+    mc = write_config(tmp_path, dict(MC_CONFIG, records=1, system={"type": "T1", "count": 1}))
+    codes, modules = fresh_process_run(
+        ["mc", "--config", mc, "--threads", "1", "--out", str(tmp_path / "m")]
     )
     assert codes == [0]
-    assert "scipy.signal" in modules
-    assert modules.isdisjoint(TEST_ONLY)
+    assert modules.isdisjoint(INPUT_ONLY_SCIPY + TEST_ONLY)
+    assert set(SEARCH_ONLY_SCIPY) <= modules
 
 
 def test_tc_asym_loads_the_search_on_demand(tmp_path):

@@ -27,7 +27,7 @@ from firasym import (
     noise_variance_estimate,
     rls_estimate,
 )
-from oracles import noise_free_dataset
+from oracles import entrywise_kernel, noise_free_dataset
 
 ALL_SPECS = [KernelSpec.ridge(), KernelSpec.tc(), KernelSpec.ss(), KernelSpec.dc()]
 
@@ -92,6 +92,20 @@ class TestKernelMatrix:
             direct = base ** np.maximum(expo, 0.0)
             signed = est._signed_pow(base, *est._power_table(expo))
             np.testing.assert_allclose(signed, direct, rtol=4e-16, atol=0)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_power_rows_equal_entrywise_powers(self, spec):
+        # same powers and the same operations, so the same bits.  n = 1 is
+        # left out: there the entrywise form's 1 x 1 exponent grid takes
+        # numpy's exact square for an exponent of 2, which SS stacks reach
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 5, 20):
+            stacks = [interior_eta(spec, rng), spec.omega.T]
+            stacks.append(np.array([interior_eta(spec, rng) for _ in range(6)]).reshape(2, 3, -1))
+            for etas in stacks:
+                got = kernel_matrix(spec, etas, n)
+                for whole, ref in zip(got, entrywise_kernel(spec, etas, n)):
+                    assert whole.tobytes() == ref.tobytes(), (n, etas.shape)
 
     def test_index_tables_are_read_only(self):
         for family in ("tc", "ss", "dc"):

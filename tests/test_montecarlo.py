@@ -187,6 +187,8 @@ class TestRunExperiment:
             ({"filters": [(0.1, 0.5), (1.0, 0.5)]}, "filters[1]"),
             ({"filters": [(0.1, 0.0)]}, "filters[0]"),
             ({"filters": [(0.1, math.inf)]}, "filters[0]"),
+            # fit_g, the fit score, needs two coefficients
+            ({"n": 1}, "n"),
         ],
     )
     def test_each_run_rule_names_its_path(self, change, path):

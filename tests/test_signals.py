@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from firasym import (
     Dataset,
@@ -19,7 +20,28 @@ from firasym import (
     generate_t2,
     lag_matrix,
 )
+from firasym.signals import _burn_in_length, _random_roots
 from oracles import impulse_response, series_autocovariance
+
+
+def lfilter_input(filt, n, n_samples, rng):
+    """generate_input's draw, filtered by scipy.signal.lfilter."""
+    a = filt.kind.a
+    burn = _burn_in_length(a)
+    e = rng.standard_normal(burn + n_samples + n - 1)
+    return lfilter([filt.kind.c_u], [1.0, -2.0 * a, a**2], e)[burn:]
+
+
+def lfilter_t2(n, rng):
+    """generate_t2's draw, its impulse response taken by scipy.signal.lfilter."""
+    slow = _random_roots(rng, n_pairs=2, n_real=1, lo=0.94, hi=0.96)
+    fast = _random_roots(rng, n_pairs=12, n_real=1, lo=0.0, hi=0.9)
+    zeros = _random_roots(rng, n_pairs=14, n_real=1, lo=0.0, hi=0.9)
+    den = np.real(np.poly(np.concatenate([slow, fast])))
+    pulse = np.zeros(n + 1)
+    pulse[0] = 1.0
+    theta = lfilter(np.real(np.poly(zeros)), den, pulse)[1:]
+    return theta * (10.0 / np.linalg.norm(theta))
 
 
 class TestImpulseResponse:
@@ -92,6 +114,18 @@ class TestGenerateInput:
             FilterSpec(SecondOrderAR(a=0.0, c_u=3.0)), 3, 100, derive_stream(5)
         )
         np.testing.assert_allclose(scaled, 3.0 * base, rtol=1e-15)
+
+    @pytest.mark.parametrize("a", [0.0, 1e-300, 0.05, 0.3, 0.7, 0.9, 0.95, 0.99, 0.999])
+    def test_recursion_is_lfilter_bit_for_bit(self, a):
+        # the two-pole recursion makes lfilter's roundings, so no artifact
+        # moved when it replaced scipy.signal
+        for c_u in (1e-150, 1e-5, 0.707, 1.0, 3.0, 1e100):
+            for n, n_samples in ((1, 2), (5, 50), (20, 1000)):
+                for seed in range(3):
+                    filt = FilterSpec(SecondOrderAR(a=a, c_u=c_u))
+                    got = generate_input(filt, n, n_samples, derive_stream(seed, 2))
+                    ref = lfilter_input(filt, n, n_samples, derive_stream(seed, 2))
+                    assert got.tobytes() == ref.tobytes(), (c_u, n, n_samples, seed)
 
     def test_sample_variance_matches_theory(self):
         filt = FilterSpec(SecondOrderAR(a=0.5, c_u=1.0))
@@ -183,6 +217,12 @@ class TestSystemGenerators:
         se = math.sqrt(2.5**2 / 12.0 / draws)
         assert 0.5 < sampled.mean() < 3.0
         assert abs(sampled.mean() - 1.75) <= 3.0 * se
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 80])
+    def test_t2_is_lfilter_bit_for_bit(self, n):
+        for seed in range(100):
+            got = generate_t2(n, derive_stream(seed, 1, 0)).theta0
+            assert got.tobytes() == lfilter_t2(n, derive_stream(seed, 1, 0)).tobytes(), seed
 
     def test_t2_impulse_response_is_not_flat(self):
         system = generate_t2(20, derive_stream(7, 1, 0))
