@@ -1,20 +1,24 @@
 """Closed-form limit quantities for the regularized FIR estimator.
 
 Everything here is deterministic linear algebra: the stationary input
-covariance Sigma, the lag table c_gamma of the fourth-moment matrix C of the
-scaled Gram deviation, the limit hyper-parameter eta_star with its
-curvature (a_b) and sensitivity (b_b) blocks, the limiting covariance of
-the hyper-parameter estimate (v_b_h), the second- and third-order
-covariance blocks of the coefficient estimates, and the induced
-mean-square-error approximations, derived at any record length N from the
-blocks that do not depend on N.  The blocks that contract C, v_als_2 and
-v_b3_12, are summed over the lags of the AR(2) input instead.  The
-per-record expansion terms that check these decompositions on simulated
-data live with the tests, in ``tests/oracles.py``.
+covariance Sigma with its banded inverse in closed form (no factorization,
+so the closed-form ridge theory loads no scipy module), the lag table
+c_gamma of the fourth-moment matrix C of the scaled Gram deviation, the
+limit hyper-parameter eta_star with its curvature (a_b) and sensitivity
+(b_b) blocks, the limiting covariance of the hyper-parameter estimate
+(v_b_h), the second- and third-order covariance blocks of the coefficient
+estimates, and the induced mean-square-error approximations, derived at
+any record length N from the blocks that do not depend on N.  The blocks
+that contract C, v_als_2 and v_b3_12, are summed over the lags of the AR(2)
+input instead.  The per-record expansion terms that check these
+decompositions on simulated data live with the tests, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -39,8 +43,9 @@ from .signals import FilterSpec, NoiseSpec, autocovariance
 @dataclass
 class SecondOrderStats:
     """What the report reads of the input of filter ``filt``: the inverse
-    and the condition number of its covariance Sigma, and the lag table of
-    the fourth-moment matrix of the scaled Gram deviation."""
+    of its covariance Sigma (in closed form) and the condition number of
+    Sigma, and the lag table of the fourth-moment matrix of the scaled
+    Gram deviation."""
 
     filt: FilterSpec
     sigma_inv: np.ndarray
@@ -184,16 +189,60 @@ def c_gamma(filt: FilterSpec, n: int) -> np.ndarray:
     return first + second
 
 
+@functools.cache
+def _band_positions(n: int) -> np.ndarray:
+    """Index of entry (i, j) of Sigma^-1 (n >= 4) in the list of its sums
+    (0, s_00, s_01, s_02, s_10, s_11, s_20), s_dm = sum_(k=0..m) psi_k
+    psi_(k+d): d = |i - j| and m = min(i, j, n-1-i, n-1-j, 2-d); 0 off the
+    band.  Read-only and cached, since every pole of a sweep reads it."""
+    i, j = np.indices((n, n))
+    d = np.abs(i - j)
+    m = np.minimum.reduce([i, j, n - 1 - i, n - 1 - j, 2 - d])
+    pos = np.where(d <= 2, np.array([1, 4, 6, 0])[np.minimum(d, 3)] + m, 0)
+    pos.setflags(write=False)
+    return pos
+
+
+def _sigma_inv(filt: FilterSpec, n: int) -> np.ndarray:
+    """Sigma^-1 in closed form, with no factorization.
+
+    The input is AR(2), psi(q^-1) u = c_u e with psi = (1, -2a, a^2), so for
+    n >= 4 Sigma^-1 is banded (Siddiqui, Biometrika 45, 1958): entry (i, j)
+    is c_u^-2 sum_(k=0..m) psi_k psi_(k+d) with d = |i - j| <= 2 and
+    m = min(i, j, n-1-i, n-1-j, 2-d).  The terms of each sum share one sign,
+    so no entry cancels.  Below n = 4 that rule is wrong: n = 3 is the Schur
+    complement of the n = 4 inverse, n = 2 that of n = 3, and n = 1 is
+    1/R_u(0), where a Schur complement would cancel.
+    """
+    a = filt.kind.a
+    r = a * a
+    # numpy division, so that an underflowed c_u^2 gives inf, not an exception
+    cu2 = np.float64(filt.kind.c_u) ** 2
+    one, b = (1.0 - a) * (1.0 + a), -2.0 * a
+    if n == 1:
+        return np.array([[one**3 / (1.0 + r)]]) / cu2
+    if n == 2:
+        return np.array([[one * (1.0 + r), b * one], [b * one, one * (1.0 + r)]]) / cu2
+    if n == 3:
+        return np.array([[1.0, b, r], [b, 1.0 + r * (4.0 - r), b], [r, b, 1.0]]) / cu2
+    psi, sums = (1.0, b, r), [0.0]
+    for d in range(3):
+        sums += itertools.accumulate(psi[k] * psi[k + d] for k in range(3 - d))
+    return (np.array(sums) / cu2)[_band_positions(n)]
+
+
 def second_order_stats(filt: FilterSpec, n: int) -> SecondOrderStats:
-    sigma = sigma_matrix(filt, n)
-    # eigh, not eigvalsh: their eigenvalues differ in the last bits, which
-    # cond_sigma carries into every artifact
-    values = np.linalg.eigh(sigma)[0]  # ascending
+    """Sigma^-1 from its closed form, and cond(Sigma) as lambda_max(Sigma)
+    lambda_max(Sigma^-1): each largest eigenvalue has a small relative
+    error, where the smallest eigenvalue of Sigma itself carries an error of
+    about eps cond(Sigma) and turns negative near a = 1."""
+    sigma_inv = _sigma_inv(filt, n)
+    lam_max = np.linalg.eigvalsh(sigma_matrix(filt, n))[-1]
     return SecondOrderStats(
         filt=filt,
-        sigma_inv=_pd_inverse(sigma),
+        sigma_inv=sigma_inv,
         c_gamma=c_gamma(filt, n),
-        cond=float(values[-1] / values[0]),
+        cond=float(lam_max * np.linalg.eigvalsh(sigma_inv)[-1]),
     )
 
 

@@ -16,18 +16,21 @@ point that a lattice neighbour outranks lies in a valley already polished,
 so it is polished only after a start that fell short of first-order
 optimality.
 
-scipy.optimize and scipy.special are imported at the first search, not
-with this module: together they take ~0.3 s to import, and the closed-form
-limit theory (`sweep`, a ridge `asym`) searches nothing.
+No scipy module is imported with this module.  scipy.optimize and
+scipy.special are imported at the first search: together they take ~0.3 s
+to import, and the closed-form limit theory (`sweep`, a ridge `asym`)
+searches nothing.  scipy.linalg's LAPACK Cholesky is imported at the first
+factorization (~0.13 s more than numpy alone); `sweep` and `table1`
+factor nothing, since Sigma^-1 has a closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     NonFiniteError,
@@ -421,6 +424,17 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+@functools.cache
+def _lapack() -> tuple:
+    """scipy's LAPACK Cholesky factor and solve (dpotrf, dpotrs), imported at
+    the first call and then cached: the search calls this thousands of
+    times per fit, and a function-level import would run the import
+    machinery's lookups on every call."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    return dpotrf, dpotrs
+
+
 def _pd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """mat^-1 rhs for a PD ``mat``: the LAPACK calls behind scipy's
     cho_factor / cho_solve, with their arguments, without their wrappers.
@@ -428,6 +442,7 @@ def _pd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     non-finite argument NonFiniteError."""
     if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
         raise NonFiniteError("Cholesky solve of an array with infs or NaNs")
+    dpotrf, dpotrs = _lapack()
     chol, info = dpotrf(mat, lower=False, clean=False)
     if info > 0:
         raise np.linalg.LinAlgError(
@@ -462,6 +477,7 @@ def _reduced_cost_grad(
     n = theta.size
     P, dP, *d2P = kernel_matrix(spec, eta, n, order=2 if hessian else 1)
     # _pd_solve's LAPACK calls, in the lower triangle, without its checks
+    dpotrf, dpotrs = _lapack()
     chol, info = dpotrf(P + ridge_term, lower=True, clean=False)
     if info > 0:
         raise NotPositiveDefiniteError(

@@ -19,7 +19,6 @@ import numpy as np
 from .asymptotics import (
     eta_star,
     second_order_stats,
-    sigma_matrix,
     hyper_parameter_law,
     regularized_error_moments,
 )
@@ -392,7 +391,6 @@ def table1(
     rows = []
     for a_idx, a in enumerate(a_values):
         filt = FilterSpec(kind=SecondOrderAR(a=a, c_u=1.0))
-        sig_eigs = np.linalg.eigvalsh(sigma_matrix(filt, n))
         conds = []
         for rec in range(records):
             rng = derive_stream(seed, _TABLE_TAG, a_idx, rec)
@@ -403,7 +401,7 @@ def table1(
         rows.append(
             {
                 "a": a,
-                "cond_sigma": float(sig_eigs[-1] / sig_eigs[0]),
+                "cond_sigma": second_order_stats(filt, n).cond,
                 "mean_cond_phitphi": math.fsum(conds) / records,
             }
         )

@@ -1,10 +1,9 @@
 """Reference code that only the tests read: the column-stacking operator,
-a 60-digit Gram contraction, the kernel matrices by entrywise powers, a
-truncated impulse response with the
-finite series that check the double-pole closed forms against it,
-noise-free records, and the per-record expansion of the scaled estimation
-errors, whose two decompositions hold as algebraic identities on simulated
-data."""
+a 60-digit Sigma^-1 and Gram contraction, the kernel matrices by entrywise
+powers, a truncated impulse response with the finite series that check the
+double-pole closed forms against it, noise-free records, and the
+per-record expansion of the scaled estimation errors, whose two
+decompositions hold as algebraic identities on simulated data."""
 
 import math
 from dataclasses import dataclass
@@ -55,6 +54,18 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
+def exact_sigma_inv(filt: FilterSpec, n: int, dps: int = 60) -> np.ndarray:
+    """Sigma^-1 at ``dps`` digits, of the float64 a and c_u taken exactly:
+    Sigma from the closed-form autocovariance, inverted by mpmath.  Entries
+    are mpmath numbers."""
+    with mpmath.workdps(dps):
+        a, c_u = mpmath.mpf(filt.kind.a), mpmath.mpf(filt.kind.c_u)
+        one = 1 - a * a
+        r = [c_u**2 * a**t * (2 / one**3 + (t - 1) / one**2) for t in range(n)]
+        sigma = mpmath.matrix([[r[abs(i - j)] for j in range(n)] for i in range(n)])
+        return np.array((sigma**-1).tolist(), dtype=object)
+
+
 def exact_gram_contraction(filt: FilterSpec, n: int, middle, dps: int = 60) -> np.ndarray:
     """S unvec(C vec(X)) S at ``dps`` digits, with X = middle(S) symmetric,
     where Sigma, S = Sigma^-1 and the c_gamma table of C are evaluated at that
@@ -64,9 +75,7 @@ def exact_gram_contraction(filt: FilterSpec, n: int, middle, dps: int = 60) -> n
     with mpmath.workdps(dps):
         a, c_u = mpmath.mpf(filt.kind.a), mpmath.mpf(filt.kind.c_u)
         one = 1 - a * a
-        r = [c_u**2 * a**t * (2 / one**3 + (t - 1) / one**2) for t in range(n)]
-        sigma = mpmath.matrix([[r[abs(i - j)] for j in range(n)] for i in range(n)])
-        s = np.array((sigma**-1).tolist(), dtype=object)
+        s = exact_sigma_inv(filt, n, dps)
 
         def f(x):
             # the series kernel of the double-pole filter (c_gamma's _f_gamma)

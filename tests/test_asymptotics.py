@@ -2,6 +2,7 @@
 law and coefficient-error expansions."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -39,6 +40,7 @@ from firasym.montecarlo import _SYSTEM_TAG
 from oracles import (
     REPORT_FIELDS,
     exact_rank1_contraction,
+    exact_sigma_inv,
     exact_v_als_2,
     expansion_terms,
     impulse_response,
@@ -64,6 +66,43 @@ def random_theta(rng, n=20, norm=10.0) -> np.ndarray:
     return theta * (norm / np.linalg.norm(theta))
 
 
+def to_mp(values) -> np.ndarray:
+    """Exact mpmath copy of a float64 or long-double array: a long double
+    splits exactly into two float64 parts."""
+    flat = []
+    for v in np.ravel(values):
+        hi = float(v)
+        flat.append(mpmath.mpf(hi) + mpmath.mpf(float(v - hi)))
+    return np.array(flat, dtype=object).reshape(np.shape(values))
+
+
+def rel_error(got, ref) -> float:
+    """Largest absolute deviation over the largest reference magnitude."""
+    err = max(abs(g - r) for g, r in zip(to_mp(got).ravel(), ref.ravel()))
+    return float(err / max(abs(r) for r in ref.ravel()))
+
+
+@functools.cache
+def v_als_2_error(n: int, a: float, kurtosis_ratio: float) -> float:
+    """Error of the report's v_als_2 against the 60-digit contraction."""
+    filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)), kurtosis_ratio)
+    got = ls_error_covariances(second_order_stats(filt, n), 1.0)[1]
+    ref = exact_v_als_2(filt, n)
+    with mpmath.workdps(60):
+        return rel_error(got, ref)
+
+
+@functools.cache
+def v_b3_12_error(n: int, a: float, kurtosis_ratio: float) -> float:
+    """Error of the ridge report's v_b3_12 against the exact contraction."""
+    theta = random_theta(np.random.default_rng(n), n)
+    filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)), kurtosis_ratio)
+    report = ridge_report(theta, filt, NoiseSpec(1.0), 1000)
+    ref = exact_rank1_contraction(filt, (n / float(theta @ theta)) * theta)
+    with mpmath.workdps(60):
+        return rel_error(report.v_b3_12, ref)
+
+
 class TestSigmaMatrix:
     def test_white_noise_is_scaled_identity(self):
         filt = FilterSpec(SecondOrderAR(a=0.0, c_u=1.5))
@@ -83,6 +122,15 @@ class TestSigmaMatrix:
         filt = FilterSpec(SecondOrderAR(a=a, c_u=1.1 * math.sqrt(0.9)))
         series = series_sigma(impulse_response(filt, 1e-12), 12)
         np.testing.assert_allclose(sigma_matrix(filt, 12), series, rtol=1e-8)
+
+    @pytest.mark.parametrize("a", [0.3, 0.7, 0.9, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 20])
+    def test_inverse_matches_60_digits(self, n, a):
+        # the banded closed form for n >= 4, its Schur complements below
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)))
+        ref = exact_sigma_inv(filt, n)
+        with mpmath.workdps(60):
+            assert rel_error(second_order_stats(filt, n).sigma_inv, ref) <= 1e-14
 
     def test_scale_covariance_of_condition_number(self):
         base = FilterSpec(SecondOrderAR(a=0.6, c_u=1.0))
@@ -131,22 +179,6 @@ class TestGramFourthMoments:
         r0 = sigma_matrix(filt3, 1)[0, 0]
         diff = c_gamma(filt5, 2) - c_gamma(filt3, 2)
         assert diff[0, 0] == pytest.approx(2.0 * r0 * r0, rel=1e-12)
-
-
-def to_mp(values) -> np.ndarray:
-    """Exact mpmath copy of a float64 or long-double array: a long double
-    splits exactly into two float64 parts."""
-    flat = []
-    for v in np.ravel(values):
-        hi = float(v)
-        flat.append(mpmath.mpf(hi) + mpmath.mpf(float(v - hi)))
-    return np.array(flat, dtype=object).reshape(np.shape(values))
-
-
-def rel_error(got, ref) -> float:
-    """Largest absolute deviation over the largest reference magnitude."""
-    err = max(abs(g - r) for g, r in zip(to_mp(got).ravel(), ref.ravel()))
-    return float(err / max(abs(r) for r in ref.ravel()))
 
 
 class TestGramContraction:
@@ -216,13 +248,7 @@ class TestGramContraction:
         ],
     )
     def test_v_als_2_matches_60_digits(self, n, a, bound, kurtosis_ratio):
-        # the float64 Sigma^-1 the block starts from is itself off by ~6e-10
-        # at a = 0.99, n = 20
-        filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)), kurtosis_ratio)
-        got = ls_error_covariances(second_order_stats(filt, n), 1.0)[1]
-        ref = exact_v_als_2(filt, n)
-        with mpmath.workdps(60):
-            assert rel_error(got, ref) <= bound
+        assert v_als_2_error(n, a, kurtosis_ratio) <= bound
 
     @pytest.mark.parametrize("kurtosis_ratio", [3.0, 5.0])
     @pytest.mark.parametrize(
@@ -242,14 +268,31 @@ class TestGramContraction:
         ],
     )
     def test_rank1_block_matches_60_digits(self, n, a, bound, kurtosis_ratio):
-        # the report's v_b3_12 against the exact contraction; the float64
-        # Sigma^-1 it starts from is itself off by ~6e-10 at a = 0.99
-        theta = random_theta(np.random.default_rng(n), n)
-        filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)), kurtosis_ratio)
-        report = ridge_report(theta, filt, NoiseSpec(1.0), 1000)
-        ref = exact_rank1_contraction(filt, (n / float(theta @ theta)) * theta)
-        with mpmath.workdps(60):
-            assert rel_error(report.v_b3_12, ref) <= bound
+        assert v_b3_12_error(n, a, kurtosis_ratio) <= bound
+
+    # (v_als_2, v_b3_12) bounds by (n, a), 4 to 30 times the largest error
+    # measured for kappa in {3, 5}; the looser bounds of the two tests above
+    # are those a factored float64 Sigma^-1 needed
+    EXACT_BOUNDS = {
+        (20, 0.3): (1e-15, 1e-14),
+        (20, 0.7): (1e-15, 1e-14),
+        (20, 0.9): (1e-14, 1e-14),
+        (20, 0.95): (1e-14, 1e-14),
+        (20, 0.99): (1e-12, 1e-14),
+        (1, 0.7): (1e-14, 1e-14),
+        (1, 0.99): (1e-13, 1e-13),
+        (2, 0.7): (1e-14, 1e-14),
+        (2, 0.99): (1e-11, 1e-13),
+        (3, 0.7): (1e-14, 1e-14),
+        (3, 0.99): (1e-11, 1e-13),
+    }
+
+    @pytest.mark.parametrize("kurtosis_ratio", [3.0, 5.0])
+    @pytest.mark.parametrize("n,a", list(EXACT_BOUNDS))
+    def test_blocks_match_60_digits_to_rounding(self, n, a, kurtosis_ratio):
+        v_als_2_bound, v_b3_12_bound = self.EXACT_BOUNDS[n, a]
+        assert v_als_2_error(n, a, kurtosis_ratio) <= v_als_2_bound
+        assert v_b3_12_error(n, a, kurtosis_ratio) <= v_b3_12_bound
 
     def test_report_memory_stays_below_the_dense_matrix(self):
         # the dense n^2 x n^2 float64 matrix alone is 800 MB at n = 100
@@ -690,7 +733,8 @@ class TestConditionBounds:
 
 
 class TestFactorOnce:
-    """Sigma, P(eta*) and a_b are each inverted once per report."""
+    """P(eta*) and a_b are each inverted once per report; Sigma^-1 has a
+    closed form, so Sigma is never inverted."""
 
     theta = 5.0 * np.exp(-0.3 * np.arange(1, 21))
     filt = FilterSpec(SecondOrderAR(a=0.7, c_u=math.sqrt(0.5)))
@@ -715,13 +759,13 @@ class TestFactorOnce:
                 KernelSpec.tc(), self.theta, self.filt, self.noise, 1000
             ),
         )
-        assert shapes == [(2, 2), (20, 20), (20, 20)]
+        assert shapes == [(2, 2), (20, 20)]
 
-    def test_ridge_report_inverts_sigma_once(self, monkeypatch):
+    def test_ridge_report_inverts_nothing(self, monkeypatch):
         shapes = self.count_inverses(
             monkeypatch, lambda: ridge_report(self.theta, self.filt, self.noise, 1000)
         )
-        assert shapes == [(20, 20)]
+        assert shapes == []
 
     def test_indefinite_curvature_warns_once(self):
         # DC puts eta_star on the rho face here, where a_b is indefinite

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -27,6 +28,7 @@ from firasym import (
     ridge_report,
 )
 from firasym.cli import main
+from oracles import exact_sigma_inv
 
 
 def read_bytes(path) -> bytes:
@@ -85,6 +87,24 @@ class TestAsymCommand:
         assert doc["report"]["v_b_h"][0][0] == pytest.approx(expected, rel=1e-10)
         assert doc["header"]["seed"] == 0
         assert "cond(Sigma)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("a", [0.99999, 0.999999])
+    def test_strong_pole_cond_sigma_matches_60_digits(self, tmp_path, a):
+        # eps cond(Sigma) > 1 here: Sigma's smallest eigenvalue is lost in
+        # rounding, and an eigenvalue ratio came out as -1.08e16 at a = 0.99999
+        change = {"theta0": [1.0] * 20, "filter": {"a": a, "cu2": 0.5}}
+        cfg = write_config(tmp_path, dict(ASYM_CONFIG, noise={"sigma2": 1.0}, **change))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "asym_report.json") as handle:
+            report = json.load(handle)["report"]
+        assert all(np.isfinite(value).all() for value in report.values())
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)))
+        with mpmath.workdps(60):
+            s_inv = mpmath.matrix(exact_sigma_inv(filt, 20).tolist())
+            values = mpmath.eigsy(s_inv, eigvals_only=True)
+            ref = max(values) / min(values)
+            assert report["cond_sigma"] > 0
+            assert abs(report["cond_sigma"] - ref) <= 1e-10 * ref
 
     def test_missing_truth_is_config_error(self, tmp_path, capsys):
         broken = {k: v for k, v in ASYM_CONFIG.items() if k != "theta0"}
@@ -224,8 +244,8 @@ class TestAsymCommand:
         assert "numerical failure: float overflow in c_gamma" in capsys.readouterr().err
 
     def test_non_finite_input_is_a_numerical_failure(self, tmp_path, capsys):
-        # r(0) = cu2 (1 + a^2) / (1 - a^2)^3 overflows, so Sigma holds inf
-        # when it is inverted
+        # r(0) = cu2 (1 + a^2) / (1 - a^2)^3 overflows, so Sigma holds inf,
+        # and the c_gamma table, of order r(0)^2, overflows with it
         change = {"theta0": [2.0], "filter": {"a": 0.5, "cu2": 1e308}}
         cfg = write_config(tmp_path, dict(ASYM_CONFIG, **change))
         assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 3
@@ -757,8 +777,8 @@ TEST_ONLY = ("mpmath", "hypothesis", "sympy")
 
 def fresh_process_run(*commands):
     """Run each argument list through ``cli.main`` in one new interpreter;
-    return the exit codes and the ``scipy.*`` modules and ``TEST_ONLY``
-    packages loaded afterwards.
+    return the exit codes and the ``scipy`` and ``scipy.*`` modules and
+    ``TEST_ONLY`` packages loaded afterwards.
 
     A new process is needed because this one has imported scipy.signal (the
     input oracles of test_signals.py use it).
@@ -767,7 +787,7 @@ def fresh_process_run(*commands):
         "import json, sys\n"
         "import firasym.cli as cli\n"
         "codes = [cli.main(args) for args in json.loads(sys.argv[1])]\n"
-        "scipy = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         f"tests = [m for m in {TEST_ONLY!r} if m in sys.modules]\n"
         "print(json.dumps([codes, scipy + tests]))\n"
     )
@@ -813,6 +833,28 @@ def test_mc_table1_and_t2_asym_load_no_input_modules(tmp_path):
     assert codes == [0]
     assert modules.isdisjoint(INPUT_ONLY_SCIPY + TEST_ONLY)
     assert set(SEARCH_ONLY_SCIPY) <= modules
+
+
+def test_sweep_and_table1_load_no_scipy(tmp_path):
+    # Sigma^-1 has a closed form, so neither command factors a matrix; the
+    # commands that do still load scipy's LAPACK at their first Cholesky
+    codes, modules = fresh_process_run(
+        ["sweep", "--grid-points", "2", "--n", "2", "--N", "100", "--out", str(tmp_path / "s2")],
+        ["sweep", "--grid-points", "2", "--n", "20", "--N", "100", "--out", str(tmp_path / "s20")],
+        ["table1", "--a", "0.3", "--n", "8", "--N", "150", "--records", "2",
+         "--out", str(tmp_path / "t")],
+    )
+    assert codes == [0, 0, 0]
+    assert modules == set()  # no scipy module, nor a test-only package
+    asym = write_config(tmp_path, CRITERION_9_ASYM)
+    one_record = dict(MC_CONFIG, records=1, system={"type": "T1", "count": 1})
+    mc = write_config(tmp_path, one_record, "mc.json")
+    codes, modules = fresh_process_run(
+        ["asym", "--config", asym, "--out", str(tmp_path / "a")],
+        ["mc", "--config", mc, "--threads", "1", "--out", str(tmp_path / "m")],
+    )
+    assert codes == [0, 0]
+    assert "scipy.linalg" in modules
 
 
 def test_tc_asym_loads_the_search_on_demand(tmp_path):

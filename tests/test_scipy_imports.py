@@ -3,7 +3,11 @@ filter once needed: scipy.signal, and the scipy.stats, scipy.interpolate
 and scipy.ndimage that importing it loads.  Each costs start-up time and
 memory in every process that loads it.  The scan reads the syntax tree,
 so it also covers function-level imports on paths that the fresh-process
-tests of test_cli.py never run; a docstring or comment does not count."""
+tests of test_cli.py never run; a docstring or comment does not count.
+
+No firasym module imports any part of scipy when it is itself imported:
+scipy is imported inside the functions that call it, so that `sweep` and
+`table1` start on numpy alone."""
 
 import ast
 from pathlib import Path
@@ -78,3 +82,52 @@ def test_scan_passes_other_scipy_and_prose():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_reaches_the_input_only_subpackages(path):
     assert forbidden_uses(path.read_text()) == []
+
+
+def module_level_scipy_imports(source: str) -> list[str]:
+    """Every scipy module that ``source`` imports while it is itself being
+    imported: import statements outside function bodies, including those
+    in class bodies and in module-level ``if`` or ``try`` blocks."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+        pending += ast.iter_child_nodes(node)
+    return sorted({m for m in found if m == "scipy" or m.startswith("scipy.")})
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import scipy",
+        "from scipy.linalg.lapack import dpotrf",
+        "try:\n    import scipy.linalg as sl\nexcept ImportError:\n    sl = None",
+        "class C:\n    from scipy import optimize",
+    ],
+)
+def test_module_level_scan_catches_each_form(source):
+    assert module_level_scipy_imports(source) != []
+
+
+def test_module_level_scan_passes_function_level_imports():
+    source = (
+        "import numpy as np\n"
+        "def f():\n"
+        "    from scipy.linalg.lapack import dpotrf\n"
+        "    return dpotrf\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        import scipy.optimize\n"
+    )
+    assert module_level_scipy_imports(source) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_at_import_time(path):
+    assert module_level_scipy_imports(path.read_text()) == []
