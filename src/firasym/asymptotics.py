@@ -1,7 +1,7 @@
 """Closed-form limit quantities for the regularized FIR estimator.
 
 Everything here is deterministic linear algebra: the stationary input
-covariance Sigma with its banded inverse in closed form (no factorization,
+covariance Sigma with its inverse L' D L / c_u^2 (no factorization,
 so the closed-form ridge theory loads no scipy module), the lag table
 c_gamma of the fourth-moment matrix C of the scaled Gram deviation, the
 limit hyper-parameter eta_star with its curvature (a_b) and sensitivity
@@ -17,8 +17,6 @@ decompositions on simulated data live with the tests, in
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -43,9 +41,9 @@ from .signals import FilterSpec, NoiseSpec, autocovariance
 @dataclass
 class SecondOrderStats:
     """What the report reads of the input of filter ``filt``: the inverse
-    of its covariance Sigma (in closed form) and the condition number of
-    Sigma, and the lag table of the fourth-moment matrix of the scaled
-    Gram deviation."""
+    of its covariance Sigma (L' D L / c_u^2, the input's innovations
+    factor) and the condition number of Sigma, and the lag table of the
+    fourth-moment matrix of the scaled Gram deviation."""
 
     filt: FilterSpec
     sigma_inv: np.ndarray
@@ -152,7 +150,7 @@ def _f_gamma(a: float, x: np.ndarray) -> np.ndarray:
     """Series kernel of the double-pole filter: for integer x >= 0,
     sum_tau R_u(tau) R_u(tau + x) = c_u^4 f(x) / (1-a^2)^6."""
     x = np.asarray(x, dtype=float)
-    one = 1.0 - a * a
+    one = (1.0 - a) * (1.0 + a)
     t1 = (2.0 * a ** (x + 2) / one) * ((1 - x) * a**4 + (5 - x) * a**2 + 4 + 2 * x)
     t2 = -(a**x) * one**2 * x * (x + 1) * (2 * x + 1) / 6.0
     t3 = a**x * one**2 * x**2 * (x + 1) / 2.0
@@ -174,7 +172,7 @@ def c_gamma(filt: FilterSpec, n: int) -> np.ndarray:
     lags = np.arange(2 * n - 1, dtype=float)
     k = np.arange(n)
     total = k[:, None] + k[None, :]
-    one = 1.0 - a * a
+    one = (1.0 - a) * (1.0 + a)
     ends = lags[:n] * one + 1 + a * a
     first = (
         c_u**4
@@ -189,53 +187,34 @@ def c_gamma(filt: FilterSpec, n: int) -> np.ndarray:
     return first + second
 
 
-@functools.cache
-def _band_positions(n: int) -> np.ndarray:
-    """Index of entry (i, j) of Sigma^-1 (n >= 4) in the list of its sums
-    (0, s_00, s_01, s_02, s_10, s_11, s_20), s_dm = sum_(k=0..m) psi_k
-    psi_(k+d): d = |i - j| and m = min(i, j, n-1-i, n-1-j, 2-d); 0 off the
-    band.  Read-only and cached, since every pole of a sweep reads it."""
-    i, j = np.indices((n, n))
-    d = np.abs(i - j)
-    m = np.minimum.reduce([i, j, n - 1 - i, n - 1 - j, 2 - d])
-    pos = np.where(d <= 2, np.array([1, 4, 6, 0])[np.minimum(d, 3)] + m, 0)
-    pos.setflags(write=False)
-    return pos
-
-
 def _sigma_inv(filt: FilterSpec, n: int) -> np.ndarray:
-    """Sigma^-1 in closed form, with no factorization.
+    """Sigma^-1 = L' D L / c_u^2 from the innovations form of the input's
+    likelihood (Brockwell and Davis, 1991), with no factorization.
 
-    The input is AR(2), psi(q^-1) u = c_u e with psi = (1, -2a, a^2), so for
-    n >= 4 Sigma^-1 is banded (Siddiqui, Biometrika 45, 1958): entry (i, j)
-    is c_u^-2 sum_(k=0..m) psi_k psi_(k+d) with d = |i - j| <= 2 and
-    m = min(i, j, n-1-i, n-1-j, 2-d).  The terms of each sum share one sign,
-    so no entry cancels.  Below n = 4 that rule is wrong: n = 3 is the Schur
-    complement of the n = 4 inverse, n = 2 that of n = 3, and n = 1 is
-    1/R_u(0), where a Schur complement would cancel.
+    The input is AR(2), psi(q^-1) u = c_u e with psi = (1, -2a, a^2), so row
+    k >= 2 of the unit lower-triangular L applies (a^2, -2a, 1) to
+    (u_(k-2), u_(k-1), u_k) and has innovation variance c_u^2.  Rows 0 and 1
+    predict from the stationary start: row 1 is (-2a / (1 + a^2), 1), and
+    D = diag((1 - a^2)^3 / (1 + a^2), (1 - a^2)(1 + a^2), 1, 1, ...).  So
+    W = D^(1/2) L whitens the input, and n = 1 and 2 are the leading block.
+    The terms of each entry of L' D L share one sign, so no entry cancels.
     """
     a = filt.kind.a
     r = a * a
+    one = (1.0 - a) * (1.0 + a)
+    d = np.ones(n)
+    d[:2] = (one**3 / (1.0 + r), one * (1.0 + r))[:n]
+    low = np.eye(n) - 2.0 * a * np.eye(n, k=-1) + r * np.eye(n, k=-2)
+    low[1:2, 0] = -2.0 * a / (1.0 + r)
     # numpy division, so that an underflowed c_u^2 gives inf, not an exception
-    cu2 = np.float64(filt.kind.c_u) ** 2
-    one, b = (1.0 - a) * (1.0 + a), -2.0 * a
-    if n == 1:
-        return np.array([[one**3 / (1.0 + r)]]) / cu2
-    if n == 2:
-        return np.array([[one * (1.0 + r), b * one], [b * one, one * (1.0 + r)]]) / cu2
-    if n == 3:
-        return np.array([[1.0, b, r], [b, 1.0 + r * (4.0 - r), b], [r, b, 1.0]]) / cu2
-    psi, sums = (1.0, b, r), [0.0]
-    for d in range(3):
-        sums += itertools.accumulate(psi[k] * psi[k + d] for k in range(3 - d))
-    return (np.array(sums) / cu2)[_band_positions(n)]
+    return (low.T * d) @ low / np.float64(filt.kind.c_u) ** 2
 
 
 def second_order_stats(filt: FilterSpec, n: int) -> SecondOrderStats:
-    """Sigma^-1 from its closed form, and cond(Sigma) as lambda_max(Sigma)
-    lambda_max(Sigma^-1): each largest eigenvalue has a small relative
-    error, where the smallest eigenvalue of Sigma itself carries an error of
-    about eps cond(Sigma) and turns negative near a = 1."""
+    """Sigma^-1 from the innovations factor, and cond(Sigma) as
+    lambda_max(Sigma) lambda_max(Sigma^-1): each largest eigenvalue has a
+    small relative error, where the smallest eigenvalue of Sigma itself
+    carries an error of about eps cond(Sigma) and turns negative near a = 1."""
     sigma_inv = _sigma_inv(filt, n)
     lam_max = np.linalg.eigvalsh(sigma_matrix(filt, n))[-1]
     return SecondOrderStats(

@@ -156,7 +156,7 @@ def autocovariance(filt: FilterSpec, tau: int) -> float:
     """Input autocovariance R_u(tau) = sum_k h(k) h(k+|tau|), in closed form."""
     t = abs(int(tau))
     a, c_u = filt.kind.a, filt.kind.c_u
-    one = 1.0 - a * a
+    one = (1.0 - a) * (1.0 + a)
     return c_u**2 * a**t * (2.0 / one**3 + (t - 1.0) / one**2)
 
 

@@ -54,16 +54,21 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-def exact_sigma_inv(filt: FilterSpec, n: int, dps: int = 60) -> np.ndarray:
-    """Sigma^-1 at ``dps`` digits, of the float64 a and c_u taken exactly:
-    Sigma from the closed-form autocovariance, inverted by mpmath.  Entries
-    are mpmath numbers."""
+def exact_sigma(filt: FilterSpec, n: int, dps: int = 60) -> mpmath.matrix:
+    """Sigma at ``dps`` digits, of the float64 a and c_u taken exactly, from
+    the closed-form autocovariance, as an mpmath matrix."""
     with mpmath.workdps(dps):
         a, c_u = mpmath.mpf(filt.kind.a), mpmath.mpf(filt.kind.c_u)
         one = 1 - a * a
         r = [c_u**2 * a**t * (2 / one**3 + (t - 1) / one**2) for t in range(n)]
-        sigma = mpmath.matrix([[r[abs(i - j)] for j in range(n)] for i in range(n)])
-        return np.array((sigma**-1).tolist(), dtype=object)
+        return mpmath.matrix([[r[abs(i - j)] for j in range(n)] for i in range(n)])
+
+
+def exact_sigma_inv(filt: FilterSpec, n: int, dps: int = 60) -> np.ndarray:
+    """Sigma^-1 at ``dps`` digits, :func:`exact_sigma` inverted by mpmath.
+    Entries are mpmath numbers."""
+    with mpmath.workdps(dps):
+        return np.array((exact_sigma(filt, n, dps) ** -1).tolist(), dtype=object)
 
 
 def exact_gram_contraction(filt: FilterSpec, n: int, middle, dps: int = 60) -> np.ndarray:

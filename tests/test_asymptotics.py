@@ -19,6 +19,7 @@ from firasym import (
     SecondOrderAR,
     SingularHessianWarning,
     asymptotic_report,
+    autocovariance,
     build_dataset,
     c_gamma,
     derive_stream,
@@ -40,6 +41,7 @@ from firasym.montecarlo import _SYSTEM_TAG
 from oracles import (
     REPORT_FIELDS,
     exact_rank1_contraction,
+    exact_sigma,
     exact_sigma_inv,
     exact_v_als_2,
     expansion_terms,
@@ -123,14 +125,30 @@ class TestSigmaMatrix:
         series = series_sigma(impulse_response(filt, 1e-12), 12)
         np.testing.assert_allclose(sigma_matrix(filt, 12), series, rtol=1e-8)
 
-    @pytest.mark.parametrize("a", [0.3, 0.7, 0.9, 0.95, 0.99, 0.999])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 20])
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.7, 0.9, 0.95, 0.99, 0.999, 0.99999])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 20, 40])
     def test_inverse_matches_60_digits(self, n, a):
-        # the banded closed form for n >= 4, its Schur complements below
+        # L' D L / c_u^2 from the innovations factor: one builder for every
+        # n, whose entries are sums of terms of one sign
         filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)))
         ref = exact_sigma_inv(filt, n)
         with mpmath.workdps(60):
             assert rel_error(second_order_stats(filt, n).sigma_inv, ref) <= 1e-14
+
+    @pytest.mark.parametrize("a", [0.999, 0.99999, 0.999999])
+    def test_near_unit_pole_matches_60_digits(self, a):
+        # 1 - a^2 is formed as (1 - a)(1 + a): subtracting the rounded a^2
+        # from 1 would lose eps / (1 - a^2) of every R_u(t) and of cond
+        n = 8
+        filt = FilterSpec(SecondOrderAR(a=a, c_u=math.sqrt(0.5)))
+        sigma = exact_sigma(filt, n)
+        with mpmath.workdps(60):
+            eig = mpmath.eigsy(sigma, eigvals_only=True)
+            cond = float(max(eig) / min(eig))
+        for t in range(n):
+            r = float(sigma[0, t])
+            assert autocovariance(filt, t) == pytest.approx(r, rel=1e-14), t
+        assert second_order_stats(filt, n).cond == pytest.approx(cond, rel=1e-14)
 
     def test_scale_covariance_of_condition_number(self):
         base = FilterSpec(SecondOrderAR(a=0.6, c_u=1.0))
@@ -592,13 +610,22 @@ class TestRegularizedErrorMoments:
 
 
 class TestRidgeEquivalence:
-    @pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
-    def test_generic_pipeline_matches_closed_forms(self, a):
+    @pytest.mark.parametrize(
+        "a,n",
+        [
+            pytest.param(0.0, 20, id="0.0"),
+            pytest.param(0.5, 20, id="0.5"),
+            pytest.param(0.9, 20, id="0.9"),
+            # the small-n shapes of Sigma^-1 at a strong pole
+            *(pytest.param(0.99, n, id=f"0.99-n{n}") for n in (1, 2, 3, 5)),
+        ],
+    )
+    def test_generic_pipeline_matches_closed_forms(self, a, n):
         rng = np.random.default_rng(5)
         noise = NoiseSpec(1.0)
         filt = FilterSpec(SecondOrderAR(a=a, c_u=0.7))
         for _ in range(3):
-            theta = random_theta(rng, 20)
+            theta = random_theta(rng, n)
             gen = asymptotic_report(KernelSpec.ridge(), theta, filt, noise, 1000)
             closed = ridge_report(theta, filt, noise, 1000)
             for field in REPORT_FIELDS:
