@@ -241,7 +241,10 @@ def _filter_from_config(cfg: _Config) -> FilterSpec:
 
 def _theta0_from_config(cfg: _Config, seed: int) -> np.ndarray:
     if "theta0" in cfg:
-        return _finite_list(cfg, "theta0")
+        theta0 = _finite_list(cfg, "theta0")
+        if not theta0.any():  # eta_star is 0, or its Hessian singular
+            raise ConfigError("field theta0: expected a nonzero vector")
+        return theta0
     kind = _field(cfg, "system.type", str)
     n = _field(cfg, "system.n", int)
     if n < 1:

@@ -11,10 +11,12 @@ eta-independent constant, so both have the same minimizer.  The search runs
 in transformed coordinates (log for positive parameters, logit for decay
 rates, atanh for correlations): the cost is evaluated on a fixed lattice in
 one batched factorization, and the best lattice points are polished with
-analytic-gradient L-BFGS-B and analytic-Hessian Newton steps.  A best
-point that a lattice neighbour outranks lies in a valley already polished,
-so it is polished only after a start that fell short of first-order
-optimality.
+analytic-gradient L-BFGS-B and analytic-Hessian Newton steps.  While
+every polished start has ended first-order optimal, a later best point is
+skipped when a lattice neighbour outranks it, or when the cost never rises
+above its own along the straight segment to a polished point: either way it
+descends into a valley already polished.  The lattice's kernel matrices do
+not depend on the record, so they are built once per kernel box and order.
 
 No scipy module is imported with this module.  scipy.optimize and
 scipy.special are imported at the first search: together they take ~0.3 s
@@ -178,8 +180,8 @@ class KernelSpec:
 class OptimizerOptions:
     """The box-constrained search's one setting: ``starts`` is the number of
     best lattice points considered.  The gradient stages polish each of
-    them, except that one a lattice neighbour outranks is polished only
-    after a start that fell short of first-order optimality."""
+    them, except those that ``minimize_box`` finds would descend into a
+    valley already polished to first-order optimality."""
 
     starts: int = 3
 
@@ -505,18 +507,16 @@ def _reduced_cost_grad(
 
 
 def _reduced_cost_batch(
-    etas: np.ndarray,
-    theta: np.ndarray,
-    ridge_term: np.ndarray | float,
-    spec: KernelSpec,
+    kernels: np.ndarray, theta: np.ndarray, ridge_term: np.ndarray | float
 ) -> np.ndarray:
-    """theta' S^-1 theta + logdet S at a stack of points etas (G, p), from one
-    batched Cholesky factorization.  Points where S is not numerically PD or
-    the value is not finite cost _COST_ON_FAILURE; box corners overflow
-    harmlessly, so floating-point warnings are muted here."""
+    """theta' S^-1 theta + logdet S, S = P + ridge_term, for a stack of kernel
+    matrices P (G, n, n), from one batched Cholesky factorization.  Points
+    where S is not numerically PD or the value is not finite cost
+    _COST_ON_FAILURE; box corners overflow harmlessly, so floating-point
+    warnings are muted here."""
     n = theta.size
     with np.errstate(all="ignore"):
-        S = kernel_matrix(spec, etas, n, order=0)[0] + ridge_term
+        S = kernels + ridge_term
         ok = np.ones(S.shape[0], dtype=bool)
         try:
             chol = np.linalg.cholesky(S)
@@ -589,6 +589,54 @@ def _start_lattice(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     ]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _kernels_at(spec: KernelSpec, x: np.ndarray, n: int) -> np.ndarray:
+    """P at a stack of transformed points x (G, p); box corners overflow
+    harmlessly, so floating-point warnings are muted here."""
+    with np.errstate(all="ignore"):
+        return kernel_matrix(spec, _from_internal(spec, x), n, order=0)[0]
+
+
+_LATTICE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _scan_lattice(spec: KernelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only scan lattice (G, p) of the kernel box and its kernel stack
+    (G, n, n) at order n.  Neither depends on the record, so each (family,
+    box, n) is built on first use and shared by later searches.  At most
+    eight are kept, each one stack (1.6 MB for DC at n = 20); a ninth
+    empties the cache."""
+    key = (spec.family, spec.omega.tobytes(), n)
+    cached = _LATTICE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    lattice = _start_lattice(
+        _to_internal(spec, spec.omega[:, 0]), _to_internal(spec, spec.omega[:, 1])
+    )
+    kernels = _kernels_at(spec, lattice, n)
+    for arr in (lattice, kernels):
+        arr.setflags(write=False)
+    if len(_LATTICE_CACHE) >= 8:
+        _LATTICE_CACHE.clear()
+    _LATTICE_CACHE[key] = lattice, kernels
+    return lattice, kernels
+
+
+# Interior points t = k/9 at which a segment from a start to a polished point
+# is checked, as fractions of the way.
+_SEGMENT_T = np.arange(1, 9)[:, None] / 9.0
+
+
+def _downhill_to(x: np.ndarray, level: float, ends: list, costs_at) -> bool:
+    """Whether the cost stays at or below ``level`` along the straight
+    segment from x to one of the points ``ends``, judged at its interior
+    points _SEGMENT_T; ``costs_at`` scores every point of every segment in
+    one batch.  A failed point costs _COST_ON_FAILURE, so it blocks."""
+    ends = np.asarray(ends)
+    points = x + _SEGMENT_T * (ends[:, None, :] - x)
+    costs = costs_at(points.reshape(-1, x.size)).reshape(len(ends), -1)
+    return bool((costs <= level).all(axis=1).any())
 
 
 def _free(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -667,19 +715,25 @@ def minimize_box(
     The search runs in transformed coordinates.  It evaluates the cost on a
     fixed lattice in one batched call and walks the ``opts.starts`` best
     lattice points in rank order.  Each is polished with analytic-gradient
-    L-BFGS-B (at most 400 iterations) and then Newton steps, except a point
-    that a lattice neighbour (diagonals included) outranks, i.e. whose rank
-    is above the minimum rank over its 3^p box, while every start polished
-    so far ended first-order optimal: the projected gradient at most
-    1e-6 (1 + |cost|).  Following better-ranked neighbours from such a
-    point leads to a valley bottom among the best points, which was
-    polished, so the point would descend into that valley again.  The best
-    lattice point is always polished.  The best polished point wins; minima
-    whose costs agree to 1e-12 relative count as equal and are broken towards
-    the lexicographically smallest transformed point, so results are
-    reproducible across platforms and lattice orderings.  Returns
-    (eta, value, OptimizerStats); ``converged`` reports whether L-BFGS-B
-    succeeded from the start that produced eta.
+    L-BFGS-B (at most 400 iterations) and then Newton steps.  While every
+    start polished so far ended first-order optimal (projected gradient at
+    most 1e-6 (1 + |cost|)), two kinds of point are skipped, since either
+    would descend into a valley already polished:
+
+    - a point that a lattice neighbour (diagonals included) outranks, i.e.
+      whose rank is above the minimum rank over its 3^p box: following
+      better-ranked neighbours leads to a valley bottom among the best
+      points, which was polished;
+    - a valley bottom from which the cost never rises above its own lattice
+      cost along the straight segment to a polished point, checked at the
+      segment's interior points t = k/9.
+
+    The best lattice point is always polished.  The best polished point
+    wins; minima whose costs agree to 1e-12 relative count as equal and are
+    broken towards the lexicographically smallest transformed point, so
+    results are reproducible across platforms and lattice orderings.
+    Returns (eta, value, OptimizerStats); ``converged`` reports whether eta
+    is first-order optimal by the bound above.
     """
     opts = opts or OptimizerOptions()
     lo = _to_internal(spec, spec.omega[:, 0])
@@ -707,8 +761,9 @@ def minimize_box(
             return out[0], out[1] * d1
         return out[0], out[1] * d1, out[2] * np.outer(d1, d1) + np.diag(out[1] * d2)
 
-    lattice = _start_lattice(lo, hi)
-    costs = _reduced_cost_batch(_from_internal(spec, lattice), theta, ridge_term, spec)
+    n = theta.size
+    lattice, kernels = _scan_lattice(spec, n)
+    costs = _reduced_cost_batch(kernels, theta, ridge_term)
     # cheapest first, ties towards the lexicographically smallest point
     ranked = np.lexsort(tuple(lattice.T[::-1]) + (costs,))
     # valley bottoms: no lattice neighbour ranks ahead of the point
@@ -717,11 +772,17 @@ def minimize_box(
     rank = rank.reshape((_SCAN_POINTS[p],) * p)
     bottom = (rank == _box_minimum(rank)).ravel()
 
+    def costs_at(x: np.ndarray) -> np.ndarray:
+        return _reduced_cost_batch(_kernels_at(spec, x, n), theta, ridge_term)
+
+    # (cost, transformed point, first-order optimal) per polished start
     candidates: list[tuple[float, tuple[float, ...], bool]] = []
-    all_optimal = True
     for i in ranked[: opts.starts]:
-        if all_optimal and not bottom[i]:
-            continue
+        if candidates and all(c[2] for c in candidates):
+            # the valley-bottom test first: it costs nothing
+            ends = [c[1] for c in candidates]
+            if not bottom[i] or _downhill_to(lattice[i], costs[i], ends, costs_at):
+                continue
         res = minimize(
             eval_internal,
             lattice[i],
@@ -733,21 +794,20 @@ def minimize_box(
         x_pol, value_pol, gnorm = _newton_polish(
             eval_internal, np.clip(res.x, lo, hi), lo, hi
         )
-        candidates.append((value_pol, tuple(x_pol), bool(res.success)))
-        all_optimal = all_optimal and gnorm <= 1e-6 * (1.0 + abs(value_pol))
+        candidates.append(
+            (value_pol, tuple(x_pol), gnorm <= 1e-6 * (1.0 + abs(value_pol)))
+        )
 
     best_value = min(c[0] for c in candidates)
     slack = 1e-12 * (1.0 + abs(best_value))
-    value, best_x, success = min(
+    value, best_x, optimal = min(
         (c for c in candidates if c[0] <= best_value + slack), key=lambda c: c[1]
     )
     x_arr = np.array(best_x)
     at_boundary = bool(
         np.any(x_arr - lo <= 1e-6 * (hi - lo)) or np.any(hi - x_arr <= 1e-6 * (hi - lo))
     )
-    stats = OptimizerStats(
-        converged=success and value < _COST_ON_FAILURE, at_boundary=at_boundary
-    )
+    stats = OptimizerStats(converged=optimal, at_boundary=at_boundary)
     return _from_internal(spec, x_arr), float(value), stats
 
 

@@ -190,6 +190,10 @@ class TestAsymCommand:
             ({"kernel": {"family": "ridge", "omgea": [[1e-3, 1e3]]}}, "kernel.omgea"),
             ({"records": 4}, "records"),
             ({"system": {"type": "T1", "n": 4}}, "system.type"),
+            # a zero truth has no limit report: the ridge optimum is 0, and
+            # the prior-fit Hessian of the other kernels is singular
+            ({"theta0": [0.0, 0.0, 0.0, 0.0]}, "theta0"),
+            ({"theta0": [0.0, -0.0], "kernel": {"family": "tc"}}, "theta0"),
         ],
     )
     def test_non_finite_number_is_named(self, tmp_path, capsys, change, path):
@@ -263,8 +267,9 @@ class TestAsymCommand:
         assert not (tmp_path / "asym_report.json").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # a zero truth pushes the analytic ridge optimum out of the box
-        broken = dict(ASYM_CONFIG, theta0=[0.0, 0.0, 0.0, 0.0])
+        # the analytic ridge optimum, theta0'theta0 / n = 1.875, lies above
+        # the box
+        broken = dict(ASYM_CONFIG, kernel={"family": "ridge", "omega": [[1e-3, 1.0]]})
         cfg = write_config(tmp_path, broken)
         assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -403,6 +408,7 @@ class TestMcCommand:
             ({"system": {"type": "T1", "cuont": 50}}, "system.cuont"),
             ({"noise": {"sigma2": 1.0, "fourth_momnet": 9.0}}, "noise.fourth_momnet"),
             ({"optimizer": {"starts": 0}}, "optimizer.starts"),
+            ({"system": {"type": "explicit", "theta0": [0.0] * 6}}, "system.theta0"),
         ],
     )
     def test_invalid_field_is_named(self, tmp_path, capsys, change, path):

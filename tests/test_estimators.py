@@ -363,6 +363,9 @@ class TestHyperParameterSearch:
         monkeypatch.setattr(
             est, "_start_lattice", lambda lo, hi: original(lo, hi)[::-1]
         )
+        # an empty lattice cache, so the reversed lattice is built and then
+        # dropped with the patch
+        monkeypatch.setattr(est, "_LATTICE_CACHE", {})
         reordered = eb_estimate(data, KernelSpec.tc())
         assert reordered.cost == pytest.approx(baseline.cost, abs=1e-10)
 

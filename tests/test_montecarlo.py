@@ -189,6 +189,7 @@ class TestRunExperiment:
             ({"filters": [(0.1, math.inf)]}, "filters[0]"),
             # fit_g, the fit score, needs two coefficients
             ({"n": 1}, "n"),
+            ({"system_type": "explicit", "theta0": np.zeros(8)}, "system.theta0"),
         ],
     )
     def test_each_run_rule_names_its_path(self, change, path):

@@ -18,9 +18,12 @@ from firasym import (
     SecondOrderAR,
     asymptotics,
     cli,
+    derive_stream,
     estimators,
+    generate_t1,
     montecarlo,
 )
+from test_search import BANK_SEED, FAMILIES, bank_records
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = {
@@ -42,6 +45,31 @@ def test_every_traced_name_resolves():
     ]
     assert missing == []
     tracing["Tracer"](MODULES)  # refuses to start on a missing name
+
+
+def test_every_search_makes_a_traced_lbfgsb_call(monkeypatch):
+    # the benchmark's search metrics raise TraceError for a fit whose local
+    # search made no L-BFGS-B call through the estimators.minimize global
+    methods = []
+    original = estimators.minimize
+
+    def record(*args, **kwargs):
+        methods.append(kwargs.get("method"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "minimize", record)
+    records = bank_records()
+    searches = [
+        lambda data=data, family=family: estimators.eb_estimate(data, KernelSpec(family))
+        for family in FAMILIES
+        for data in records
+    ]
+    theta0 = generate_t1(20, derive_stream(BANK_SEED, 1, 0)).theta0
+    searches.append(lambda: asymptotics.eta_star(KernelSpec.tc(), theta0))
+    for search in searches:
+        methods.clear()
+        search()
+        assert "L-BFGS-B" in methods
 
 
 def test_each_report_reaches_c_gamma_once(monkeypatch):
