@@ -33,7 +33,6 @@ from .errors import (
     NotPositiveDefiniteError,
     OutOfBoxError,
     RankDeficientError,
-    SingularHessianWarning,
 )
 from .estimators import (
     EbFit,

@@ -18,20 +18,21 @@ decompositions on simulated data live with the tests, in
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NonFiniteError, OutOfBoxError, SingularHessianWarning
+from .errors import NonFiniteError, NotPositiveDefiniteError, OutOfBoxError
 from .estimators import (
     KernelSpec,
     OptimizerOptions,
     _eye,
+    _face_side,
     _pd_inverse,
     _reduced_cost_grad,
     _sym,
+    _to_internal,
     kernel_matrix,
     minimize_box,
 )
@@ -55,7 +56,8 @@ class SecondOrderStats:
 class HyperParameterLaw:
     """Curvature a_b, sensitivity rows b_b, and the limiting covariance
     v_b_h of the scaled hyper-parameter error at eta_star, with the inverses
-    of P(eta*) and a_b that the third-order blocks reuse."""
+    that the third-order blocks reuse: p_inv of P(eta*), and a_inv of a_b on
+    its free coordinates, zero-padded (see :func:`hyper_parameter_law`)."""
 
     eta_star: np.ndarray
     a_b: np.ndarray
@@ -242,22 +244,6 @@ def eta_star(
     return eta
 
 
-def _robust_inverse(mat: np.ndarray, what: str) -> np.ndarray:
-    """Cholesky inverse with an eigenvalue-thresholded pseudo-inverse
-    fallback (threshold 1e-12 of the largest magnitude eigenvalue)."""
-    try:
-        return _pd_inverse(mat)
-    except np.linalg.LinAlgError:
-        warnings.warn(
-            f"{what} is not positive definite; using a pseudo-inverse",
-            SingularHessianWarning,
-        )
-        values, vectors = np.linalg.eigh(_sym(mat))
-        cut = 1e-12 * float(np.max(np.abs(values))) if mat.size else 0.0
-        inv_vals = np.where(np.abs(values) > cut, 1.0 / values, 0.0)
-        return _sym((vectors * inv_vals) @ vectors.T)
-
-
 def hyper_parameter_law(
     spec: KernelSpec,
     theta0: np.ndarray,
@@ -271,14 +257,29 @@ def hyper_parameter_law(
     cost's analytic Hessian with a zero noise term), b_b stacks the rows
     theta0' d(P^-1)/d(eta_k) = -(dP_k P^-1 theta0)' P^-1, and
 
-        v_b_h = 4 sigma2 a_b^-1 b_b Sigma^-1 b_b' a_b^-1,  Sigma^-1 = sigma_inv.
+        v_b_h = 4 sigma2 a_inv b_b Sigma^-1 b_b' a_inv,  Sigma^-1 = sigma_inv.
+
+    A coordinate is active when it lies on a face by the search's boundary
+    test and the criterion falls outward by a gradient above 1e-6 (1 + |value|):
+    the estimate stays there (Shapiro, 1989), so a_inv is a_b^-1 on the free
+    coordinates, zero-padded, and NotPositiveDefiniteError if that fails.
     """
     theta0 = np.asarray(theta0, dtype=float)
     P, dP = kernel_matrix(spec, eta_star_value, theta0.size, order=1)
     p_inv = _pd_inverse(P)
-    a_b = _reduced_cost_grad(eta_star_value, theta0, 0.0, spec, hessian=True)[2]
+    value, grad, a_b = _reduced_cost_grad(eta_star_value, theta0, 0.0, spec, hessian=True)
     b_b = -(dP @ (p_inv @ theta0)) @ p_inv
-    a_inv = _robust_inverse(a_b, "curvature matrix")
+    side = _face_side(
+        _to_internal(spec, eta_star_value), *_to_internal(spec, spec.omega.T)
+    )
+    active = side * grad < -1e-6 * (1.0 + abs(value))
+    free = np.ix_(~active, ~active)
+    a_inv = np.zeros_like(a_b)
+    try:
+        if not active.all():
+            a_inv[free] = _pd_inverse(a_b[free])
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError("curvature a_b not PD on its free block") from None
     half = a_inv @ b_b  # p x n
     v_b_h = 4.0 * sigma2 * half @ sigma_inv @ half.T
     return HyperParameterLaw(

@@ -19,14 +19,13 @@ import math
 import os
 import sys
 import traceback
-import warnings
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__, asymptotics
 from .asymptotics import asymptotic_report, ridge_report, sigma_matrix
-from .errors import ConfigError, FirasymError, NonFiniteError, SingularHessianWarning
+from .errors import ConfigError, FirasymError, NonFiniteError
 from .estimators import KernelSpec, OptimizerOptions
 from .montecarlo import (
     _SYSTEM_TAG,
@@ -239,16 +238,20 @@ def _filter_from_config(cfg: _Config) -> FilterSpec:
     return _build(lambda: FilterSpec(SecondOrderAR(a, math.sqrt(cu2)), kurt), "filter")
 
 
-def _theta0_from_config(cfg: _Config, seed: int) -> np.ndarray:
+def _theta0_from_config(cfg: _Config, seed: int, family: str) -> np.ndarray:
+    # one coefficient cannot identify a TC, DC or SS kernel's hyper-parameters
+    least, why = (1, "") if family == "ridge" else (2, f" for the {family} kernel")
     if "theta0" in cfg:
         theta0 = _finite_list(cfg, "theta0")
         if not theta0.any():  # eta_star is 0, or its Hessian singular
             raise ConfigError("field theta0: expected a nonzero vector")
+        if theta0.size < least:
+            raise ConfigError(f"field theta0: expected >= {least} coefficients{why}")
         return theta0
     kind = _field(cfg, "system.type", str)
     n = _field(cfg, "system.n", int)
-    if n < 1:
-        raise ConfigError("field system.n: expected >= 1")
+    if n < least:
+        raise ConfigError(f"field system.n: expected >= {least}{why}")
     rng = derive_stream(seed, _SYSTEM_TAG, 0)
     if kind == "T1":
         return generate_t1(n, rng).theta0
@@ -279,7 +282,7 @@ def cmd_asym(args) -> int:
     kernel = _kernel_from_config(cfg)
     noise = _noise_from_config(cfg)
     filt = _filter_from_config(cfg)
-    theta0 = _theta0_from_config(cfg, seed)
+    theta0 = _theta0_from_config(cfg, seed, kernel.family)
     n_samples = _field(cfg, "N", int)
     if n_samples <= theta0.size:
         raise ConfigError(f"field N: expected >= {theta0.size + 1}")
@@ -486,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--strict",
             action="store_true",
-            help="escalate numerical warnings to exit code 3",
+            help="escalate floating-point errors to exit code 3",
         )
 
     p_asym = sub.add_parser("asym", help="write a closed-form limit report")
@@ -525,15 +528,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("table1", "sweep") and min(np.atleast_1d(args.N)) <= args.n:
         parser.error(f"argument --N: must exceed --n ({args.n})")
     os.makedirs(args.out, exist_ok=True)
-    # --strict escalates the package's numerical warnings and numpy's
-    # floating-point errors (underflow stays silent: it is routine in kernels)
+    # --strict escalates numpy's floating-point errors (underflow stays
+    # silent: it is routine in kernels)
     strict_fp = "raise" if args.strict else "warn"
     try:
-        with warnings.catch_warnings(), np.errstate(
-            divide=strict_fp, over=strict_fp, invalid=strict_fp
-        ):
-            if args.strict:
-                warnings.simplefilter("error", SingularHessianWarning)
+        with np.errstate(divide=strict_fp, over=strict_fp, invalid=strict_fp):
             return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -543,12 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         where = traceback.extract_tb(exc.__traceback__)[-1].name
         print(f"numerical failure: float overflow in {where}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (
-        FirasymError,
-        SingularHessianWarning,
-        FloatingPointError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (FirasymError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class FirasymError(Exception):
@@ -27,8 +27,3 @@ class DegenerateTruthError(FirasymError):
 
 class ConfigError(FirasymError):
     """Run configuration failed validation; message carries the field path."""
-
-
-class SingularHessianWarning(UserWarning):
-    """Curvature matrix was not invertible; an eigenvalue-thresholded
-    pseudo-inverse was used instead."""

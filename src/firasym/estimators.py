@@ -611,9 +611,7 @@ def _scan_lattice(spec: KernelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     cached = _LATTICE_CACHE.get(key)
     if cached is not None:
         return cached
-    lattice = _start_lattice(
-        _to_internal(spec, spec.omega[:, 0]), _to_internal(spec, spec.omega[:, 1])
-    )
+    lattice = _start_lattice(*_to_internal(spec, spec.omega.T))
     kernels = _kernels_at(spec, lattice, n)
     for arr in (lattice, kernels):
         arr.setflags(write=False)
@@ -642,6 +640,13 @@ def _downhill_to(x: np.ndarray, level: float, ends: list, costs_at) -> bool:
 def _free(x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Coordinates not held at a bound by a gradient pointing out of the box."""
     return ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
+
+
+def _face_side(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """-1 for each transformed coordinate on its lower face, +1 on its upper
+    face and 0 inside the box; a face holds x within 1e-6 (hi - lo) of it."""
+    tol = 1e-6 * (hi - lo)
+    return np.where(x - lo <= tol, -1, np.where(hi - x <= tol, 1, 0))
 
 
 def _newton_polish(eval_internal, x, lo, hi):
@@ -736,8 +741,7 @@ def minimize_box(
     is first-order optimal by the bound above.
     """
     opts = opts or OptimizerOptions()
-    lo = _to_internal(spec, spec.omega[:, 0])
-    hi = _to_internal(spec, spec.omega[:, 1])
+    lo, hi = _to_internal(spec, spec.omega.T)
     p = spec.p
 
     def eval_internal(x: np.ndarray, hessian: bool = False) -> tuple:
@@ -804,10 +808,9 @@ def minimize_box(
         (c for c in candidates if c[0] <= best_value + slack), key=lambda c: c[1]
     )
     x_arr = np.array(best_x)
-    at_boundary = bool(
-        np.any(x_arr - lo <= 1e-6 * (hi - lo)) or np.any(hi - x_arr <= 1e-6 * (hi - lo))
+    stats = OptimizerStats(
+        converged=optimal, at_boundary=bool(_face_side(x_arr, lo, hi).any())
     )
-    stats = OptimizerStats(converged=optimal, at_boundary=at_boundary)
     return _from_internal(spec, x_arr), float(value), stats
 
 

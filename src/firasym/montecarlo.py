@@ -74,8 +74,9 @@ class ExperimentConfig:
             self.theta0 = np.asarray(self.theta0, dtype=float)
             if self.theta0.shape != (self.n,) or not np.isfinite(self.theta0).all():
                 raise ValueError("system.theta0: expected n finite coefficients")
-            if not self.theta0.any():  # eta_star is 0, or its Hessian singular
-                raise ValueError("system.theta0: expected a nonzero vector")
+            # fit_g divides by this spread; a zero truth has no eta_star either
+            if np.linalg.norm(self.theta0 - self.theta0.mean()) == 0.0:
+                raise ValueError("system.theta0: expected a non-constant vector")
         noise = self.noise  # records draw Gaussian noise, so the theory must too
         if not math.isclose(noise.fourth_moment, 3.0 * noise.sigma2**2, rel_tol=1e-12):
             raise ValueError("noise.fourth_moment: expected 3 * sigma2^2 (Gaussian)")

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from firasym import (
+    ExperimentConfig,
     FilterSpec,
     KernelSpec,
     NoiseSpec,
+    NotPositiveDefiniteError,
     SecondOrderAR,
-    SingularHessianWarning,
     asymptotic_report,
     autocovariance,
     build_dataset,
@@ -35,6 +36,7 @@ from firasym import (
     hyper_parameter_law,
     ls_error_covariances,
     regularized_error_moments,
+    run_experiment,
 )
 from firasym import asymptotics
 from firasym.montecarlo import _SYSTEM_TAG
@@ -461,6 +463,25 @@ class TestHyperParameterLaw:
                 out.b_b[k], fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max()
             )
 
+    def test_law_at_an_all_active_corner_is_null(self):
+        # the box lies below the TC optimum (2.7, 0.64) in both coordinates,
+        # so eta_star is its upper corner and no coordinate is free
+        theta = 5.0 * np.exp(-0.3 * np.arange(1, 11))
+        spec = KernelSpec.tc([[1e-3, 0.1], [0.1, 0.5]])
+        star = eta_star(spec, theta)
+        np.testing.assert_array_equal(star, spec.omega[:, 1])
+        out = hyper_parameter_law(spec, theta, star, np.eye(10), 1.0)
+        assert np.linalg.eigvalsh(out.a_b)[0] > 0.0
+        assert (out.a_inv == 0.0).all() and (out.v_b_h == 0.0).all()
+
+    def test_singular_free_block_is_not_positive_definite(self):
+        # at n = 1 the DC kernel c alpha does not depend on rho, whose row of
+        # a_b is zero while rho stays free
+        spec, theta = KernelSpec.dc(), np.array([2.0])
+        star = eta_star(spec, theta)
+        with pytest.raises(NotPositiveDefiniteError, match="free block"):
+            hyper_parameter_law(spec, theta, star, np.eye(1), 1.0)
+
 
 class TestLsErrorCovariances:
     def test_white_noise_first_order(self):
@@ -794,10 +815,69 @@ class TestFactorOnce:
         )
         assert shapes == []
 
-    def test_indefinite_curvature_warns_once(self):
-        # DC puts eta_star on the rho face here, where a_b is indefinite
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            asymptotic_report(KernelSpec.dc(), self.theta, self.filt, self.noise, 1000)
-        singular = [w for w in caught if w.category is SingularHessianWarning]
-        assert len(singular) == 1
+    def test_rho_face_law_inverts_the_free_block_once(self, monkeypatch):
+        # DC puts eta_star on the rho face here, where a_b is indefinite and
+        # the criterion falls outward: the law inverts the (c, alpha) block
+        spec = KernelSpec.dc()
+        reports = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shapes = self.count_inverses(
+                monkeypatch,
+                lambda: reports.append(
+                    asymptotic_report(spec, self.theta, self.filt, self.noise, 1000)
+                ),
+            )
+        assert shapes == [(2, 2), (20, 20)]
+        report = reports[0]
+        assert report.eta_star[2] == spec.omega[2, 1]
+        assert np.linalg.eigvalsh(report.a_b)[0] < 0.0
+        assert (report.v_b_h[2] == 0.0).all() and (report.v_b_h[:, 2] == 0.0).all()
+        # the free block has condition number 2.5e7, so the reference is
+        # taken in 40 digits from the same float64 inputs
+        s_inv = second_order_stats(self.filt, 20).sigma_inv
+        with mpmath.workdps(40):
+            free = (report.a_b[:2, :2], report.b_b[:2], s_inv)
+            a_ff, b_f, s_mp = (mpmath.matrix(m.tolist()) for m in free)
+            half = a_ff**-1 * b_f
+            expected = np.array((4 * half * s_mp * half.T).tolist(), dtype=float)
+        expected *= self.noise.sigma2
+        np.testing.assert_allclose(report.v_b_h[:2, :2], expected, rtol=1e-13, atol=0.0)
+
+
+class TestFaceLaw:
+    """DC puts eta_star on the decay face of the T1 truth s = 1 at a = 0.7,
+    where the criterion falls outward: every fit stays on the face, and the
+    free coordinates follow the law of the free block."""
+
+    def test_simulated_variances_match_the_free_block_law(self):
+        n, n_samples = 20, 1000
+        theta0 = generate_t1(n, derive_stream(0, _SYSTEM_TAG, 1)).theta0
+        spec, noise = KernelSpec.dc(), NoiseSpec(1.0)
+        config = ExperimentConfig(
+            kernel=spec,
+            system_type="explicit",
+            n=n,
+            n_samples=n_samples,
+            filters=[(0.7, 0.5)],
+            noise=noise,
+            records=400,
+            systems=1,
+            master_seed=0,
+            theta0=theta0,
+        )
+        out = run_experiment(config)
+        assert out.failures == [] and all(r.at_boundary for r in out.records)
+        filt = FilterSpec(SecondOrderAR(a=0.7, c_u=math.sqrt(0.5)))
+        report = asymptotic_report(spec, theta0, filt, noise, n_samples)
+        eta = np.array([r.eta_hat for r in out.records])
+        scaled = math.sqrt(n_samples) * (eta - report.eta_star)
+        variances = scaled.var(axis=0, ddof=1)
+        assert variances[1] == 0.0 and report.v_b_h[1, 1] == 0.0
+        rng = np.random.default_rng(0)
+        draws = rng.integers(0, len(scaled), (200, len(scaled)))
+        boot_se = np.array([scaled[d].var(axis=0, ddof=1) for d in draws]).std(
+            axis=0, ddof=1
+        )
+        for k in (0, 2):
+            assert abs(variances[k] - report.v_b_h[k, k]) <= 3.0 * boot_se[k], k

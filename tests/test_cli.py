@@ -22,7 +22,6 @@ from firasym import (
     NoiseSpec,
     NotPositiveDefiniteError,
     SecondOrderAR,
-    SingularHessianWarning,
     derive_stream,
     generate_t1,
     ridge_report,
@@ -212,6 +211,35 @@ class TestAsymCommand:
         assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "field N: expected >= 5" in capsys.readouterr().err
         assert not (tmp_path / "asym_report.json").exists()
+
+    @pytest.mark.parametrize("family", ["tc", "dc", "ss"])
+    @pytest.mark.parametrize(
+        "truth, path",
+        [({"theta0": [2.0]}, "theta0"), ({"system": {"type": "T1", "n": 1}}, "system.n")],
+        ids=["theta0", "system.n"],
+    )
+    def test_one_coefficient_is_refused_for_kernels_with_a_decay(
+        self, tmp_path, capsys, family, truth, path
+    ):
+        # one coefficient cannot identify two or three hyper-parameters:
+        # the curvature at n = 1 is singular, up to rounding
+        config = {k: v for k, v in CRITERION_9_ASYM.items() if k != "system"}
+        cfg = write_config(tmp_path, dict(config, kernel={"family": family}, **truth))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"field {path}: expected >= 2" in err and family in err
+        assert not (tmp_path / "asym_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "truth",
+        [{"theta0": [2.0]}, {"system": {"type": "T1", "n": 1}}],
+        ids=["theta0", "system.n"],
+    )
+    def test_one_coefficient_ridge_report_is_written(self, tmp_path, truth):
+        config = {k: v for k, v in CRITERION_9_ASYM.items() if k != "system"}
+        cfg = write_config(tmp_path, dict(config, **truth))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "asym_report.json").exists()
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_system_order_must_be_positive(self, tmp_path, capsys, order):
@@ -428,6 +456,22 @@ class TestMcCommand:
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "field n: expected >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta0", [[1.0] * 6, [-2.5] * 6])
+    def test_constant_truth_is_refused_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, theta0
+    ):
+        # fit_g scores against theta0 - mean(theta0), so every record of a
+        # constant truth would fail after its whole fit
+        def no_run(*args, **kwargs):
+            raise AssertionError("mc ran an experiment")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        system = {"type": "explicit", "theta0": theta0}
+        cfg = write_config(tmp_path, dict(MC_CONFIG, system=system))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "field system.theta0: expected a non-constant vector" in err
+
 
 class TestTableCommand:
     def test_smoke_and_artifact(self, tmp_path, capsys):
@@ -594,20 +638,6 @@ class TestStrict:
         )
         assert main(["asym", "--config", cfg, "--strict", "--out", str(tmp_path)]) == 0
 
-    def test_singular_hessian_warning_escalates(self, tmp_path, monkeypatch):
-        original = cli.asymptotic_report
-
-        def warn_then_report(*args, **kwargs):
-            warnings.warn("singular curvature", SingularHessianWarning)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "asymptotic_report", warn_then_report)
-        cfg = write_config(tmp_path, ASYM_CONFIG)
-        args = ["asym", "--config", cfg, "--out", str(tmp_path)]
-        with pytest.warns(SingularHessianWarning):
-            assert main(args) == 0
-        assert main(args + ["--strict"]) == 3
-
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_floating_point_error_escalates(self, tmp_path, monkeypatch, threads):
         original = montecarlo.generate_input
@@ -732,15 +762,15 @@ class TestParserReuse:
     def test_strict_does_not_stick(self, tmp_path, monkeypatch):
         original = cli.asymptotic_report
 
-        def warn_then_report(*args, **kwargs):
-            warnings.warn("singular curvature", SingularHessianWarning)
+        def overflow_then_report(*args, **kwargs):
+            np.array([1e308]) * 10.0
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "asymptotic_report", warn_then_report)
+        monkeypatch.setattr(cli, "asymptotic_report", overflow_then_report)
         cfg = write_config(tmp_path, ASYM_CONFIG)
         args = ["asym", "--config", cfg, "--out", str(tmp_path)]
         assert main(args + ["--strict"]) == 3
-        with pytest.warns(SingularHessianWarning):
+        with pytest.warns(RuntimeWarning, match="overflow"):
             assert main(args) == 0
 
 

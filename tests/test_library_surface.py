@@ -4,7 +4,10 @@ by the benchmark's scripts.  Reference code that only the tests read lives
 in tests/oracles.py instead.  A reference is a name, an attribute or an
 import in the syntax tree; a docstring or comment does not count, and
 neither does a name inside a parameter, return or variable annotation,
-which a type checker reads but the program does not."""
+which a type checker reads but the program does not.
+
+Every exception type in ``firasym/errors.py`` is raised or caught by the
+program, so removing the path that raised one cannot leave the type behind."""
 
 import ast
 from pathlib import Path
@@ -55,3 +58,32 @@ def test_every_export_is_used_by_the_program():
     users += sorted((ROOT / "perfbench").glob("*.py"))
     used = set().union(*(referenced_names(path) for path in users))
     assert sorted(exported_names() - used) == []
+
+
+def exception_names(node: ast.AST | None) -> set[str]:
+    """The names that a ``raise`` or ``except`` clause refers to."""
+    if isinstance(node, ast.Call):
+        return exception_names(node.func)
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(exception_names, node.elts))
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def test_every_error_type_is_raised_or_caught():
+    defined = {
+        node.name
+        for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                used |= exception_names(node.exc)
+            elif isinstance(node, ast.ExceptHandler):
+                used |= exception_names(node.type)
+    assert sorted(defined - used) == []

@@ -68,6 +68,18 @@ class TestFitScore:
         with pytest.raises(DegenerateTruthError):
             fit_g(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
 
+    @pytest.mark.parametrize(
+        "theta0",
+        # the last is not constant, but the square of its spread underflows
+        [np.full(8, 3.0), np.full(8, -1e-300), np.array([1e-200] * 7 + [2e-200])],
+    )
+    def test_config_refuses_every_truth_the_score_refuses(self, theta0):
+        # an mc run checks its truth before any fit, by fit_g's own rule
+        with pytest.raises(DegenerateTruthError):
+            fit_g(np.zeros(8), theta0)
+        with pytest.raises(ValueError, match="system.theta0: expected a non-constant"):
+            small_config(system_type="explicit", theta0=theta0)
+
 
 class TestCompareAmse:
     def test_order_two_exact(self):
