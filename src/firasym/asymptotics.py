@@ -1,18 +1,18 @@
 """Closed-form limit quantities for the regularized FIR estimator.
 
-Everything here is deterministic linear algebra: the stationary input
-covariance Sigma with its inverse L' D L / c_u^2 (no factorization,
-so the closed-form ridge theory loads no scipy module), the lag table
-c_gamma of the fourth-moment matrix C of the scaled Gram deviation, the
-limit hyper-parameter eta_star with its curvature (a_b) and sensitivity
-(b_b) blocks, the limiting covariance of the hyper-parameter estimate
-(v_b_h), the second- and third-order covariance blocks of the coefficient
-estimates, and the induced mean-square-error approximations, derived at
-any record length N from the blocks that do not depend on N.  The blocks
-that contract C, v_als_2 and v_b3_12, are summed over the lags of the AR(2)
-input instead.  The per-record expansion terms that check these
-decompositions on simulated data live with the tests, in
-``tests/oracles.py``.
+Everything here is deterministic linear algebra on numpy alone; only the
+search behind a non-ridge eta_star loads scipy.  It covers the stationary
+input covariance Sigma with its inverse L' D L / c_u^2 (no factorization),
+the lag table c_gamma of the fourth-moment matrix C of the scaled Gram
+deviation, the limit hyper-parameter eta_star with its curvature (a_b)
+and sensitivity (b_b) blocks, the limiting covariance of the
+hyper-parameter estimate (v_b_h), the second- and third-order covariance
+blocks of the coefficient estimates, and the induced mean-square-error
+approximations, derived at any record length N from the blocks that do
+not depend on N.  The blocks that contract C, v_als_2 and v_b3_12, are
+summed over the lags of the AR(2) input instead.  The per-record expansion
+terms that check these decompositions on simulated data live with the
+tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from .errors import NonFiniteError, NotPositiveDefiniteError, OutOfBoxError
 from .estimators import (
     KernelSpec,
     OptimizerOptions,
+    _chol_inverse,
+    _cost_derivatives,
     _eye,
     _face_side,
     _pd_inverse,
-    _reduced_cost_grad,
     _sym,
     _to_internal,
     kernel_matrix,
@@ -253,22 +254,31 @@ def hyper_parameter_law(
 ) -> HyperParameterLaw:
     """Blocks of the limiting law of the scaled hyper-parameter error.
 
-    a_b is the Hessian of the prior-fit criterion at eta_star (the reduced
-    cost's analytic Hessian with a zero noise term), b_b stacks the rows
-    theta0' d(P^-1)/d(eta_k) = -(dP_k P^-1 theta0)' P^-1, and
+    a_b is the Hessian of the prior-fit criterion theta0' P^-1 theta0 +
+    logdet P at eta_star, b_b stacks the rows theta0' d(P^-1)/d(eta_k) =
+    -(dP_k P^-1 theta0)' P^-1, and
 
         v_b_h = 4 sigma2 a_inv b_b Sigma^-1 b_b' a_inv,  Sigma^-1 = sigma_inv.
 
-    A coordinate is active when it lies on a face by the search's boundary
-    test and the criterion falls outward by a gradient above 1e-6 (1 + |value|):
-    the estimate stays there (Shapiro, 1989), so a_inv is a_b^-1 on the free
-    coordinates, zero-padded, and NotPositiveDefiniteError if that fails.
+    P(eta*) is factored once, by numpy (:func:`estimators._chol_inverse`),
+    and the criterion's value, gradient and a_b come from that factor, so
+    the law loads no scipy module.  A coordinate is active when it lies on
+    a face by the search's boundary test and the criterion falls outward by
+    a gradient above 1e-6 (1 + |value|): the estimate stays there (Shapiro,
+    1989), so a_inv is a_b^-1 on the free coordinates, zero-padded, and
+    NotPositiveDefiniteError if that fails.  One coefficient cannot
+    identify a TC, DC or SS kernel's hyper-parameters: ValueError.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    P, dP = kernel_matrix(spec, eta_star_value, theta0.size, order=1)
-    p_inv = _pd_inverse(P)
-    value, grad, a_b = _reduced_cost_grad(eta_star_value, theta0, 0.0, spec, hessian=True)
-    b_b = -(dP @ (p_inv @ theta0)) @ p_inv
+    if spec.family != "ridge" and theta0.size < 2:
+        raise ValueError(f"the {spec.family} kernel's law needs >= 2 coefficients")
+    P, dP, d2P = kernel_matrix(spec, eta_star_value, theta0.size)
+    u, logdet = _chol_inverse(P)
+    p_inv = u @ u.T
+    z = p_inv @ theta0
+    value = float(theta0 @ z) + logdet
+    grad, a_b = _cost_derivatives(z, p_inv, dP, d2P)
+    b_b = -(dP @ z) @ p_inv
     side = _face_side(
         _to_internal(spec, eta_star_value), *_to_internal(spec, spec.omega.T)
     )

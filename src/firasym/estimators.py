@@ -21,9 +21,12 @@ not depend on the record, so they are built once per kernel box and order.
 No scipy module is imported with this module.  scipy.optimize and
 scipy.special are imported at the first search: together they take ~0.3 s
 to import, and the closed-form limit theory (`sweep`, a ridge `asym`)
-searches nothing.  scipy.linalg's LAPACK Cholesky is imported at the first
-factorization (~0.13 s more than numpy alone); `sweep` and `table1`
-factor nothing, since Sigma^-1 has a closed form.
+searches nothing.  The search's cost evaluations also factor through
+scipy.linalg's LAPACK Cholesky (~0.13 s more to import, but ~14 us less
+per evaluation at n = 20 than numpy).  Every one-off factorization, such
+as the noise term, the RLS solve and the limit law's P(eta*), goes
+through numpy, so `sweep`, `table1` and a ridge `asym` load no scipy
+module.
 """
 
 from __future__ import annotations
@@ -437,25 +440,33 @@ def _lapack() -> tuple:
     return dpotrf, dpotrs
 
 
+def _chol_inverse(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """(U, logdet mat) for a PD ``mat``, with mat^-1 = U U' and U upper
+    triangular: the inverse of L' for the Cholesky factor L of ``mat``.
+    LU with partial pivoting swaps no row of an upper-triangular matrix, so
+    ``inv`` runs plain back substitution, which keeps graded matrices
+    accurate; inverting L itself would pivot.  A matrix that is not PD
+    raises LinAlgError, and a non-finite one NonFiniteError."""
+    if not np.isfinite(mat).all():
+        raise NonFiniteError("Cholesky factorization of an array with infs or NaNs")
+    chol = np.linalg.cholesky(mat)
+    return np.linalg.inv(chol.T), 2.0 * float(np.log(chol.diagonal()).sum())
+
+
 def _pd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """mat^-1 rhs for a PD ``mat``: the LAPACK calls behind scipy's
-    cho_factor / cho_solve, with their arguments, without their wrappers.
-    A matrix that is not PD raises LinAlgError, as those wrappers do, and a
-    non-finite argument NonFiniteError."""
-    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
+    """mat^-1 rhs = U (U' rhs) for a PD ``mat``, from :func:`_chol_inverse`,
+    whose errors it raises; a non-finite ``rhs`` raises NonFiniteError."""
+    if not np.isfinite(rhs).all():
         raise NonFiniteError("Cholesky solve of an array with infs or NaNs")
-    dpotrf, dpotrs = _lapack()
-    chol, info = dpotrf(mat, lower=False, clean=False)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-    return dpotrs(chol, rhs, lower=False)[0]
+    u = _chol_inverse(mat)[0]
+    return u @ (u.T @ rhs)
 
 
 def _pd_inverse(mat: np.ndarray) -> np.ndarray:
-    """Symmetrized inverse of a PD matrix via Cholesky."""
-    return _sym(_pd_solve(mat, _eye(mat.shape[0])))
+    """mat^-1 = U U' for a PD ``mat``, from :func:`_chol_inverse`, whose
+    errors it raises; the product is exactly symmetric."""
+    u = _chol_inverse(mat)[0]
+    return u @ u.T
 
 
 def _noise_term(gram: np.ndarray, sigma2_hat: float) -> np.ndarray:
@@ -464,6 +475,28 @@ def _noise_term(gram: np.ndarray, sigma2_hat: float) -> np.ndarray:
         return sigma2_hat * _pd_inverse(gram)
     except np.linalg.LinAlgError:
         raise RankDeficientError("gram matrix is not positive definite") from None
+
+
+def _cost_derivatives(
+    z: np.ndarray, s_inv: np.ndarray, dP: np.ndarray, d2P: np.ndarray | None = None
+) -> tuple:
+    """Gradient of theta' S^-1 theta + logdet S, and its Hessian when
+    ``d2P`` is given, from z = S^-1 theta, S^-1 and the derivatives of S
+    (those of P(eta)): (grad,) or (grad, hess)."""
+    grad = np.array([-z @ dP[k] @ z + (s_inv * dP[k]).sum() for k in range(len(dP))])
+    if d2P is None:
+        return (grad,)
+    # d2 cost / dk dl = 2 z'P_k S^-1 P_l z - z'P_kl z
+    #                   - Tr(S^-1 P_k S^-1 P_l) + Tr(S^-1 P_kl)
+    pz = dP @ z
+    sp = s_inv @ dP
+    hess = (
+        2.0 * pz @ s_inv @ pz.T
+        - np.einsum("i,klij,j->kl", z, d2P, z)
+        - np.einsum("kij,lji->kl", sp, sp)
+        + np.einsum("ij,klji->kl", s_inv, d2P)
+    )
+    return grad, _sym(hess)
 
 
 def _reduced_cost_grad(
@@ -475,10 +508,12 @@ def _reduced_cost_grad(
 ) -> tuple:
     """Value and gradient of theta' S^-1 theta + logdet S, S = P(eta) + ridge_term,
     followed by the Hessian when ``hessian`` is set.  A zero ridge term gives
-    the prior-fit criterion theta' P^-1 theta + logdet P."""
+    the prior-fit criterion theta' P^-1 theta + logdet P.  The search's
+    per-evaluation path, so it factors S with scipy's LAPACK (:func:`_lapack`)."""
     n = theta.size
     P, dP, *d2P = kernel_matrix(spec, eta, n, order=2 if hessian else 1)
-    # _pd_solve's LAPACK calls, in the lower triangle, without its checks
+    # the LAPACK calls behind scipy's cho_factor / cho_solve, without their
+    # wrappers and checks
     dpotrf, dpotrs = _lapack()
     chol, info = dpotrf(P + ridge_term, lower=True, clean=False)
     if info > 0:
@@ -487,23 +522,8 @@ def _reduced_cost_grad(
         )
     z = dpotrs(chol, theta, lower=True)[0]
     logdet = 2.0 * float(np.log(chol.diagonal()).sum())
-    value = float(theta @ z) + logdet
     s_inv = dpotrs(chol, _eye(n), lower=True)[0]
-    grad = np.array([-z @ dP[k] @ z + (s_inv * dP[k]).sum() for k in range(spec.p)])
-    if not hessian:
-        return value, grad
-    # d2 cost / dk dl = 2 z'P_k S^-1 P_l z - z'P_kl z
-    #                   - Tr(S^-1 P_k S^-1 P_l) + Tr(S^-1 P_kl)
-    d2P = d2P[0]
-    pz = dP @ z
-    sp = s_inv @ dP
-    hess = (
-        2.0 * pz @ s_inv @ pz.T
-        - np.einsum("i,klij,j->kl", z, d2P, z)
-        - np.einsum("kij,lji->kl", sp, sp)
-        + np.einsum("ij,klji->kl", s_inv, d2P)
-    )
-    return value, grad, _sym(hess)
+    return (float(theta @ z) + logdet, *_cost_derivatives(z, s_inv, dP, *d2P))
 
 
 def _reduced_cost_batch(

@@ -39,6 +39,7 @@ from firasym import (
     run_experiment,
 )
 from firasym import asymptotics
+from firasym import estimators as est
 from firasym.montecarlo import _SYSTEM_TAG
 from oracles import (
     REPORT_FIELDS,
@@ -474,13 +475,30 @@ class TestHyperParameterLaw:
         assert np.linalg.eigvalsh(out.a_b)[0] > 0.0
         assert (out.a_inv == 0.0).all() and (out.v_b_h == 0.0).all()
 
-    def test_singular_free_block_is_not_positive_definite(self):
-        # at n = 1 the DC kernel c alpha does not depend on rho, whose row of
-        # a_b is zero while rho stays free
-        spec, theta = KernelSpec.dc(), np.array([2.0])
-        star = eta_star(spec, theta)
+    def test_indefinite_free_block_is_not_positive_definite(self):
+        # with alpha fixed the criterion is A / c + n log c + const, whose
+        # second derivative n^3 / A^2 (2/1000 - 1/100) at ten times the
+        # optimal scale c = A / n is negative; no coordinate is on a face
+        theta = 5.0 * np.exp(-0.3 * np.arange(1, 11))
+        spec = KernelSpec.tc()
+        away = eta_star(spec, theta) * np.array([10.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError, match="free block"):
-            hyper_parameter_law(spec, theta, star, np.eye(1), 1.0)
+            hyper_parameter_law(spec, theta, away, np.eye(10), 1.0)
+
+    @pytest.mark.parametrize("family", ["tc", "dc", "ss"])
+    def test_one_coefficient_is_refused(self, family):
+        # one coefficient cannot identify two or three hyper-parameters; SS
+        # once returned a finite v_b_h here, TC and DC a NotPositiveDefiniteError
+        filt = FilterSpec(SecondOrderAR(a=0.5, c_u=1.0))
+        with pytest.raises(ValueError, match=">= 2 coefficients"):
+            asymptotic_report(KernelSpec(family), [2.0], filt, NoiseSpec(1.0), 100)
+
+    def test_one_coefficient_ridge_law_is_computed(self):
+        theta = np.array([2.0])
+        star = eta_star(KernelSpec.ridge(), theta)
+        out = hyper_parameter_law(KernelSpec.ridge(), theta, star, np.eye(1), 1.0)
+        assert out.a_b[0, 0] == pytest.approx(1.0 / 16.0, rel=1e-15)
+        assert out.v_b_h[0, 0] == pytest.approx(16.0, rel=1e-15)
 
 
 class TestLsErrorCovariances:
@@ -781,22 +799,25 @@ class TestConditionBounds:
 
 
 class TestFactorOnce:
-    """P(eta*) and a_b are each inverted once per report; Sigma^-1 has a
-    closed form, so Sigma is never inverted."""
+    """P(eta*) and the free block of a_b are each factored once per report;
+    Sigma^-1 has a closed form, so Sigma is never factored."""
 
     theta = 5.0 * np.exp(-0.3 * np.arange(1, 21))
     filt = FilterSpec(SecondOrderAR(a=0.7, c_u=math.sqrt(0.5)))
     noise = NoiseSpec(1.0)
 
     def count_inverses(self, monkeypatch, build):
+        """Shapes of the matrices that ``build`` factors, in order of size."""
         shapes = []
-        original = asymptotics._pd_inverse
+        original = est._chol_inverse
 
         def counted(mat):
             shapes.append(mat.shape)
             return original(mat)
 
-        monkeypatch.setattr(asymptotics, "_pd_inverse", counted)
+        # the law factors P(eta*) itself and the free block through _pd_inverse
+        monkeypatch.setattr(asymptotics, "_chol_inverse", counted)
+        monkeypatch.setattr(est, "_chol_inverse", counted)
         build()
         return sorted(shapes)
 
@@ -808,6 +829,18 @@ class TestFactorOnce:
             ),
         )
         assert shapes == [(2, 2), (20, 20)]
+
+    def test_law_evaluates_no_search_cost(self, monkeypatch):
+        # value, gradient and a_b come from the one factor of P(eta*)
+        spec = KernelSpec.tc()
+        star = eta_star(spec, self.theta)
+        calls = []
+        monkeypatch.setattr(est, "_reduced_cost_grad", lambda *args: calls.append(args))
+        s_inv = second_order_stats(self.filt, 20).sigma_inv
+        shapes = self.count_inverses(
+            monkeypatch, lambda: hyper_parameter_law(spec, self.theta, star, s_inv, 1.0)
+        )
+        assert shapes == [(2, 2), (20, 20)] and calls == []
 
     def test_ridge_report_inverts_nothing(self, monkeypatch):
         shapes = self.count_inverses(

@@ -873,7 +873,7 @@ def test_mc_table1_and_t2_asym_load_no_input_modules(tmp_path):
 
 def test_sweep_and_table1_load_no_scipy(tmp_path):
     # Sigma^-1 has a closed form, so neither command factors a matrix; the
-    # commands that do still load scipy's LAPACK at their first Cholesky
+    # search still loads scipy's LAPACK for its per-evaluation Cholesky
     codes, modules = fresh_process_run(
         ["sweep", "--grid-points", "2", "--n", "2", "--N", "100", "--out", str(tmp_path / "s2")],
         ["sweep", "--grid-points", "2", "--n", "20", "--N", "100", "--out", str(tmp_path / "s20")],
@@ -882,15 +882,23 @@ def test_sweep_and_table1_load_no_scipy(tmp_path):
     )
     assert codes == [0, 0, 0]
     assert modules == set()  # no scipy module, nor a test-only package
-    asym = write_config(tmp_path, CRITERION_9_ASYM)
     one_record = dict(MC_CONFIG, records=1, system={"type": "T1", "count": 1})
     mc = write_config(tmp_path, one_record, "mc.json")
     codes, modules = fresh_process_run(
-        ["asym", "--config", asym, "--out", str(tmp_path / "a")],
         ["mc", "--config", mc, "--threads", "1", "--out", str(tmp_path / "m")],
     )
-    assert codes == [0, 0]
+    assert codes == [0]
     assert "scipy.linalg" in modules
+
+
+def test_ridge_asym_loads_no_scipy(tmp_path):
+    # the ridge optimum is closed-form, and numpy factors P(eta*) and a_b
+    asym = write_config(tmp_path, CRITERION_9_ASYM)
+    codes, modules = fresh_process_run(
+        ["asym", "--config", asym, "--out", str(tmp_path / "a")]
+    )
+    assert codes == [0]
+    assert modules == set()
 
 
 def test_tc_asym_loads_the_search_on_demand(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from firasym import (
     noise_variance_estimate,
     rls_estimate,
 )
+from firasym.errors import NonFiniteError
 from oracles import entrywise_kernel, noise_free_dataset
 
 ALL_SPECS = [KernelSpec.ridge(), KernelSpec.tc(), KernelSpec.ss(), KernelSpec.dc()]
@@ -295,6 +297,45 @@ class TestReducedCost:
         opt = max(float(theta_ls @ theta_ls) / n - sigma2_hat / g, spec.omega[0, 0])
         _, grad = eb_cost(np.array([opt]), theta_ls, phi.T @ phi, sigma2_hat, spec)
         assert abs(grad[0]) <= 1e-8 * max(1.0, abs(opt))
+
+
+class TestCholInverse:
+    """One-off PD inverses come from numpy's Cholesky factor L as U U',
+    U = inv(L'), which is back substitution: no row is swapped."""
+
+    # the (c, alpha) curvature block of the DC rho-face report of
+    # TestFactorOnce (cond 2.5e7), and D A D for a weakly coupled A with
+    # D = diag(10^k); inverting L itself, or the matrix by LU, pivots on
+    # both and loses 2e-13 to 4e-12 relative
+    RHO_FACE = np.array(
+        [[12.799733583843807, 306.12318382511177], [306.12318382511177, 315421124.64016652]]
+    )
+    GRADED = np.outer(10.0 ** np.arange(0, 8, 2), 10.0 ** np.arange(0, 8, 2)) * (
+        0.99 * np.eye(4) + 0.01
+    )
+
+    @pytest.mark.parametrize("mat", [RHO_FACE, GRADED], ids=["rho_face", "graded"])
+    def test_inverse_matches_40_digits(self, mat):
+        with mpmath.workdps(40):
+            exact = mpmath.matrix(mat.tolist())
+            expected = np.array((exact**-1).tolist(), dtype=float)
+            logdet = float(mpmath.log(mpmath.det(exact)))
+        inv = est._pd_inverse(mat)
+        np.testing.assert_allclose(inv, expected, rtol=1e-13, atol=0.0)
+        assert np.array_equal(inv, inv.T)
+        u, chol_logdet = est._chol_inverse(mat)
+        assert np.array_equal(u, np.triu(u))
+        assert chol_logdet == pytest.approx(logdet, rel=1e-14)
+        rhs = np.arange(1.0, mat.shape[0] + 1)
+        np.testing.assert_allclose(est._pd_solve(mat, rhs), expected @ rhs, rtol=1e-13)
+
+    def test_refuses_non_finite_and_indefinite_matrices(self):
+        with pytest.raises(NonFiniteError):
+            est._pd_inverse(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(NonFiniteError):
+            est._pd_solve(np.eye(2), np.array([1.0, np.inf]))
+        with pytest.raises(np.linalg.LinAlgError):
+            est._pd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestRegularizedEstimate:

@@ -6,8 +6,9 @@ so it also covers function-level imports on paths that the fresh-process
 tests of test_cli.py never run; a docstring or comment does not count.
 
 No firasym module imports any part of scipy when it is itself imported:
-scipy is imported inside the functions that call it, so that `sweep` and
-`table1` start on numpy alone."""
+scipy is imported inside the functions that call it, so that `sweep`,
+`table1` and a ridge `asym` start on numpy alone.  Those functions serve
+the hyper-parameter search alone."""
 
 import ast
 from pathlib import Path
@@ -131,3 +132,56 @@ def test_module_level_scan_passes_function_level_imports():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_scipy_at_import_time(path):
     assert module_level_scipy_imports(path.read_text()) == []
+
+
+# The functions that may import scipy: the search's optimizer, its logit
+# transform, and the LAPACK Cholesky of its per-evaluation cost.
+SCIPY_FUNCTIONS = {
+    ("estimators.py", "_lapack"),
+    ("estimators.py", "minimize"),
+    ("estimators.py", "_logit"),
+    ("estimators.py", "_expit"),
+}
+
+
+def scipy_importers(source: str) -> list[str | None]:
+    """The name of the innermost function around each scipy import in
+    ``source``, None for one outside every function."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        found.extend(function for m in names if m == "scipy" or m.startswith("scipy."))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_importer_scan_names_each_function():
+    source = (
+        "import scipy\n"
+        "def f():\n"
+        "    def g():\n"
+        "        from scipy.optimize import minimize\n"
+        "    import numpy\n"
+        "    import scipy.linalg as sl\n"
+    )
+    assert scipy_importers(source) == [None, "g", "f"]
+
+
+def test_only_the_search_functions_import_scipy():
+    found = {
+        (path.name, function)
+        for path in PACKAGE.glob("*.py")
+        for function in scipy_importers(path.read_text())
+    }
+    assert found <= SCIPY_FUNCTIONS
