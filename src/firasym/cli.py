@@ -13,13 +13,11 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
 import sys
 import traceback
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -133,8 +131,12 @@ def _field(cfg: _Config, path: str, expected, required: bool = True, default=Non
     return node
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _is_finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    return _is_number(x) and math.isfinite(x)
 
 
 def _finite_list(cfg: dict, path: str) -> np.ndarray:
@@ -154,61 +156,11 @@ def _header(cfg: dict, seed: int) -> dict:
     return {"config_sha256": _config_hash(cfg), "seed": seed, "version": __version__}
 
 
-def _float_rows(rows, level: int) -> list[str] | None:
-    """The json texts of the rows, nested ``level`` deep, of ``rows`` (a
-    non-empty sequence) if it is a rectangular table of non-empty lists of
-    finite floats; None otherwise.  Each distinct 64-bit pattern is formatted
-    once (the report matrices are symmetric, so about half of their entries
-    repeat); keying on the bits keeps 0.0 and -0.0 apart."""
-    if not all(type(row) is list for row in rows):
-        return None
-    width = len(rows[0])
-    if not width or any(len(row) != width for row in rows):
-        return None
-    if set(map(type, itertools.chain.from_iterable(rows))) != {float}:
-        return None
-    values = np.array(rows, dtype=np.float64)
-    if not np.isfinite(values).all():
-        return None
-    patterns, where = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    texts = list(map(float.__repr__, patterns.view(np.float64).tolist()))
-    flat = [texts[i] for i in where.tolist()]
-    cell = ",\n" + "  " * (level + 1)
-    close = "\n" + "  " * level + "]"
-    return [
-        "[" + cell[1:] + cell.join(flat[i : i + width]) + close
-        for i in range(0, len(flat), width)
-    ]
-
-
-def _json_text(obj, level: int = 0) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` nested
-    ``level`` deep; dict keys must be str.  json's indenting encoder is pure
-    Python; this one formats the float matrices of a report in bulk."""
-    if type(obj) is float and math.isfinite(obj):
-        return float.__repr__(obj)
-    if not isinstance(obj, (dict, list, tuple)):
-        return json.dumps(obj)
-    if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    if isinstance(obj, dict):
-        brackets = "{}"
-        items = [
-            encode_basestring_ascii(key) + ": " + _json_text(value, level + 1)
-            for key, value in sorted(obj.items())
-        ]
-    else:
-        brackets = "[]"
-        items = _float_rows(obj, level + 1) or [_json_text(x, level + 1) for x in obj]
-    inner = "\n" + "  " * (level + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
-
-
 def _dump_json(path: str, payload: dict) -> None:
-    """Write ``payload`` byte for byte as ``json.dump(payload, handle,
-    sort_keys=True, indent=2)`` followed by a newline would."""
+    """Write ``payload`` as compact, sorted-key JSON and a newline.  ``dumps``,
+    not ``dump``: only a one-shot encode runs json's C encoder."""
     with open(path, "w") as handle:
-        handle.write(_json_text(payload) + "\n")
+        handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _build(make, block: str = ""):
@@ -222,7 +174,13 @@ def _build(make, block: str = ""):
 def _kernel_from_config(cfg: _Config) -> KernelSpec:
     family = _field(cfg, "kernel.family", str)
     omega = _field(cfg, "kernel.omega", list, required=False)
-    return _build(lambda: KernelSpec(family, omega or None), "kernel")
+    # numbers only; the box's shape and domain (which refuses NaN and inf)
+    # are KernelSpec's to check
+    if omega is not None:
+        leaves = [x for row in omega for x in (row if isinstance(row, list) else [row])]
+        if not leaves or not all(map(_is_number, leaves)):
+            raise ConfigError("field kernel.omega: expected [lo, hi] rows of numbers")
+    return _build(lambda: KernelSpec(family, omega), "kernel")
 
 
 def _noise_from_config(cfg: _Config) -> NoiseSpec:
