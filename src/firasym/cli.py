@@ -51,12 +51,19 @@ EXIT_NUMERICAL = 3
 # ------------------------------------------------------------ config plumbing
 
 
+def _json_int(literal: str) -> int | float:
+    """An integer literal beyond float range reads as +-inf, as json reads
+    1e400, so the finiteness and type checks refuse it by its field."""
+    value = float(literal)
+    return int(literal) if math.isfinite(value) else value
+
+
 def _load_config(args) -> tuple[_Config, int]:
     """The config with its overrides applied, and the seed: ``--seed`` if
     given, else the config's ``seed`` (default 0), which is read either way."""
     try:
         with open(args.config) as handle:
-            cfg = json.load(handle)
+            cfg = json.load(handle, parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -94,7 +101,7 @@ def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override {item!r} must look like key=value")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_int=_json_int)
         except json.JSONDecodeError:
             value = raw
         node = cfg
@@ -244,6 +251,9 @@ def cmd_asym(args) -> int:
     n_samples = _field(cfg, "N", int)
     if n_samples <= theta0.size:
         raise ConfigError(f"field N: expected >= {theta0.size + 1}")
+    # the report divides by N and sqrt(N) in float64, exact for N <= 2^53
+    if n_samples > 2**53:
+        raise ConfigError("field N: expected <= 2**53")
     opts = _optimizer_from_config(cfg)
     cfg.refuse_unread()
     report = asymptotic_report(kernel, theta0, filt, noise, n_samples, opts)

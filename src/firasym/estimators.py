@@ -406,23 +406,14 @@ def noise_variance_estimate(data: Dataset) -> float:
     return float(resid @ resid) / dof
 
 
-def rls_estimate(data: Dataset, p_mat: np.ndarray, sigma2: float) -> np.ndarray:
-    """Regularized least squares (Phi'Phi + sigma2 * P^-1)^-1 Phi'Y.
-
-    Solved through the Cholesky factor L of P as L (L'GL + sigma2 I)^-1 L'b,
-    which keeps the system positive definite without forming P^-1.
-    """
+def rls_estimate(theta_ls: np.ndarray, p_mat: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Regularized least squares (Phi'Phi + sigma2 P^-1)^-1 Phi'Y, written as
+    P S^-1 theta_ls with S = P + ``noise`` and ``noise`` = sigma2 (Phi'Phi)^-1:
+    one solve with the matrix whose Cholesky factor the EB cost uses."""
     try:
-        chol_p = np.linalg.cholesky(p_mat)
+        return p_mat @ _pd_solve(p_mat + noise, theta_ls)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("kernel matrix is not positive definite") from None
-    b = data.phi.T @ data.y
-    inner = chol_p.T @ data.gram @ chol_p + sigma2 * np.eye(data.order)
-    try:
-        w = _pd_solve(inner, chol_p.T @ b)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("regularized normal equations not PD") from None
-    return chol_p @ w
+        raise NotPositiveDefiniteError("P + sigma2 (Phi'Phi)^-1 is not PD") from None
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
@@ -838,13 +829,14 @@ def eb_estimate(
     data: Dataset, spec: KernelSpec, opts: OptimizerOptions | None = None
 ) -> EbFit:
     """Fit the hyper-parameters by marginal likelihood and return the
-    regularized estimate computed at the winner."""
+    regularized estimate P S^-1 theta_ls at the winner, from the noise term
+    that the cost's S = P + sigma2_hat (Phi'Phi)^-1 shares."""
     theta_ls = ls_estimate(data)
     sigma2_hat = noise_variance_estimate(data)
     noise = _noise_term(data.gram, sigma2_hat)
     eta_hat, value, stats = minimize_box(theta_ls, noise, spec, opts)
     p_mat = kernel_matrix(spec, eta_hat, data.order, order=0)[0]
-    theta_tr = rls_estimate(data, p_mat, sigma2_hat)
+    theta_tr = rls_estimate(theta_ls, p_mat, noise)
     return EbFit(
         eta_hat=eta_hat,
         sigma2_hat=sigma2_hat,

@@ -1,15 +1,21 @@
 """Command-line interface: validation, artifacts, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import firasym
 import firasym.asymptotics as asymptotics
@@ -39,6 +45,37 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def all_finite(obj) -> bool:
+    """Whether every number in a JSON document is finite."""
+    if isinstance(obj, dict):
+        return all(map(all_finite, obj.values()))
+    if isinstance(obj, list):
+        return all(map(all_finite, obj))
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+def artifact_numbers_finite(path) -> bool:
+    """Whether every number in a written JSON or CSV artifact is finite."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return all_finite(json.loads(text))
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                return False
+    return True
+
+
+BIG_INT = "9" * 401  # beyond float range
+HUGE_INT = "1" + "0" * 5000  # beyond Python's default int-string digit limit
 
 
 ASYM_CONFIG = {
@@ -215,6 +252,53 @@ class TestAsymCommand:
         cfg = write_config(tmp_path, dict(ASYM_CONFIG, N=n_samples))
         assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "field N: expected >= 5" in capsys.readouterr().err
+        assert not (tmp_path / "asym_report.json").exists()
+
+    @pytest.mark.parametrize("n_samples", [2**53 + 1, 10**20, 1e20, 1e160])
+    def test_record_length_beyond_exact_floats_is_refused(
+        self, tmp_path, capsys, n_samples
+    ):
+        # the report divides by N and sqrt(N) in float64, where every N up to
+        # 2^53 is exact
+        cfg = write_config(tmp_path, dict(ASYM_CONFIG, N=n_samples))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "field N: expected <= 2**53" in capsys.readouterr().err
+        assert not (tmp_path / "asym_report.json").exists()
+
+    @pytest.mark.parametrize("family", ["ridge", "tc"])
+    def test_record_length_2_53_report_is_finite(self, tmp_path, family):
+        change = {"N": 2**53, "kernel": {"family": family}}
+        cfg = write_config(tmp_path, dict(ASYM_CONFIG, **change))
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert artifact_numbers_finite(tmp_path / "asym_report.json")
+
+    @pytest.mark.parametrize("via", ["config", "override"])
+    @pytest.mark.parametrize(
+        "key, literal, path",
+        [
+            ("theta0", f"[{BIG_INT}, 1.0]", "theta0"),
+            ("noise", f'{{"sigma2": {BIG_INT}}}', "noise.sigma2"),
+            ("kernel", f'{{"family": "ridge", "omega": [[1e-3, {BIG_INT}]]}}', "kernel"),
+            ("seed", HUGE_INT, "seed"),
+            ("seed", f"-{HUGE_INT}", "seed"),
+        ],
+        ids=["theta0", "noise.sigma2", "kernel.omega", "seed", "negative-seed"],
+    )
+    def test_integer_beyond_float_range_is_named(
+        self, tmp_path, capsys, key, literal, path, via
+    ):
+        # an integer literal beyond float range reads as +-inf, as 1e400
+        # does, however far past Python's limit on int-string conversion
+        if via == "config":
+            text = json.dumps(dict(ASYM_CONFIG, **{key: "@"})).replace('"@"', literal)
+            (tmp_path / "config.json").write_text(text)
+            extra = []
+        else:
+            write_config(tmp_path, ASYM_CONFIG)
+            extra = ["--override", f"{key}={literal}"]
+        cfg = str(tmp_path / "config.json")
+        assert main(["asym", "--config", cfg, "--out", str(tmp_path), *extra]) == 2
+        assert f"field {path}:" in capsys.readouterr().err
         assert not (tmp_path / "asym_report.json").exists()
 
     @pytest.mark.parametrize("family", ["tc", "dc", "ss"])
@@ -948,3 +1032,68 @@ def test_readme_library_example_runs(capsys):
     code = compile(readme_block("## Library example", "python"), README, "exec")
     exec(code, {})
     assert capsys.readouterr().out.strip()
+
+
+def run_in(out_dir, argv) -> None:
+    """``main(argv)`` writing into ``out_dir``, printout and warnings
+    swallowed, argparse's exit taken as a return.  Asserts the exit-code
+    contract: the code is 0, 2 or 3, exit 0 writes artifacts, and every
+    number in every written artifact is finite."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        stack.enter_context(warnings.catch_warnings())
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv + ["--out", str(out_dir)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)
+    written = [*out_dir.glob("*.json"), *out_dir.glob("*.csv")]
+    assert code != 0 or written
+    for path in written:
+        assert artifact_numbers_finite(path), path.name
+
+
+LOG_SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+class TestExitCodeContract:
+    """Exit 0 means every number in every artifact is finite; any other
+    outcome is exit 2 (config) or 3 (numerical), never a traceback, and what
+    it writes is finite too.  Each example runs in a fresh directory, so no
+    artifact of an earlier one is checked."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        family=st.sampled_from(["ridge", "tc", "dc", "ss"]),
+        n=st.integers(1, 6),
+        a=st.floats(0.0, 1.0, exclude_max=True),
+        cu2=LOG_SCALE,
+        sigma2=LOG_SCALE,
+        n_samples=st.floats(0.0, 25.0).map(lambda e: int(10.0**e)),
+    )
+    def test_asym(self, family, n, a, cu2, sigma2, n_samples):
+        config = {
+            "kernel": {"family": family},
+            "system": {"type": "T1", "n": n},
+            "filter": {"a": a, "cu2": cu2},
+            "noise": {"sigma2": sigma2},
+            "N": n_samples,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(pathlib.Path(tmp), config)
+            run_in(pathlib.Path(tmp, "asym"), ["asym", "--config", cfg])
+
+    # mc's pole stays at most 0.99: the simulated input's burn-in is
+    # log(1e-12) / log(a) samples, 2.8e7 at a = 1 - 1e-6
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(a=st.floats(0.0, 0.99), cu2=LOG_SCALE, sigma2=LOG_SCALE)
+    def test_mc_and_sweep(self, a, cu2, sigma2):
+        config = dict(MC_CONFIG, n=3, N=40, records=2, filters=[[a, cu2]])
+        config["noise"] = {"sigma2": sigma2}
+        sweep = ["sweep", "--grid-points", "3", "--n", "4", "--N", "50", "1000"]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(pathlib.Path(tmp), config)
+            run_in(pathlib.Path(tmp, "mc"), ["mc", "--config", cfg])
+            run_in(pathlib.Path(tmp, "sweep"), sweep + ["--sigma2", repr(sigma2)])

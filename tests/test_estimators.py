@@ -29,7 +29,7 @@ from firasym import (
     rls_estimate,
 )
 from firasym.errors import NonFiniteError
-from oracles import entrywise_kernel, noise_free_dataset
+from oracles import entrywise_kernel, exact_rls, noise_free_dataset
 
 ALL_SPECS = [KernelSpec.ridge(), KernelSpec.tc(), KernelSpec.ss(), KernelSpec.dc()]
 
@@ -342,13 +342,15 @@ class TestRegularizedEstimate:
     def test_vanishing_regularization_matches_ls(self):
         data = make_record(seed=10)
         theta_ls = ls_estimate(data)
-        theta_tr = rls_estimate(data, 1e9 * np.eye(data.order), 1.0)
+        noise = est._noise_term(data.gram, 1.0)
+        theta_tr = rls_estimate(theta_ls, 1e9 * np.eye(data.order), noise)
         assert np.linalg.norm(theta_tr - theta_ls) <= 1e-6 * np.linalg.norm(theta_ls)
 
     def test_dominant_regularization_shrinks_to_zero(self):
         data = make_record(seed=11, n_samples=1000)
         theta_ls = ls_estimate(data)
-        theta_tr = rls_estimate(data, 1e-9 * np.eye(data.order), 1.0)
+        noise = est._noise_term(data.gram, 1.0)
+        theta_tr = rls_estimate(theta_ls, 1e-9 * np.eye(data.order), noise)
         assert np.linalg.norm(theta_tr) <= 1e-3 * np.linalg.norm(theta_ls)
 
     def test_matches_full_size_form(self):
@@ -356,10 +358,29 @@ class TestRegularizedEstimate:
         spec = KernelSpec.tc()
         P = kernel_matrix(spec, np.array([2.0, 0.7]), 5)[0]
         sigma2 = 0.4
-        direct = rls_estimate(data, P, sigma2)
+        noise = est._noise_term(data.gram, sigma2)
+        direct = rls_estimate(ls_estimate(data), P, noise)
         q = data.phi @ P @ data.phi.T + sigma2 * np.eye(50)
         full = P @ data.phi.T @ np.linalg.solve(q, data.y)
         np.testing.assert_allclose(direct, full, rtol=1e-8)
+
+    @pytest.mark.parametrize("family, bound", [("tc", 1e-11), ("ss", 1e-8)])
+    def test_matches_50_digits_on_a_strong_pole_record(self, family, bound):
+        # a = 0.95, n = 20, N = 1000: cond(P(eta_hat)) is 3e3 (TC) and 1e7
+        # (SS).  The bounds lie between the error of one solve with S (1e-13
+        # and 1e-10 here) and that of a Cholesky of P followed by a solve
+        # with L'GL + sigma2 I (8e-10 and 8e-8).
+        system = generate_t1(20, derive_stream(9, 1, 1))
+        filt = FilterSpec(SecondOrderAR(a=0.95, c_u=math.sqrt(0.5)))
+        rng = derive_stream(9, 2, 1)
+        u = generate_input(filt, 20, 1000, rng)
+        data = build_dataset(system, u, NoiseSpec(1.0), rng)
+        spec = KernelSpec(family)
+        fit = eb_estimate(data, spec)
+        p_mat = kernel_matrix(spec, fit.eta_hat, data.order)[0]
+        ref = exact_rls(data, p_mat, fit.sigma2_hat)
+        err = np.abs(fit.theta_tr - ref).max() / np.abs(ref).max()
+        assert err <= bound
 
 
 class TestHyperParameterSearch:
