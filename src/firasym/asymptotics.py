@@ -37,7 +37,7 @@ from .estimators import (
     kernel_matrix,
     minimize_box,
 )
-from .signals import FilterSpec, NoiseSpec, autocovariance
+from .signals import FilterSpec, NoiseSpec, autocovariance, stationary_start
 
 
 @dataclass
@@ -197,18 +197,17 @@ def _sigma_inv(filt: FilterSpec, n: int) -> np.ndarray:
     The input is AR(2), psi(q^-1) u = c_u e with psi = (1, -2a, a^2), so row
     k >= 2 of the unit lower-triangular L applies (a^2, -2a, 1) to
     (u_(k-2), u_(k-1), u_k) and has innovation variance c_u^2.  Rows 0 and 1
-    predict from the stationary start: row 1 is (-2a / (1 + a^2), 1), and
-    D = diag((1 - a^2)^3 / (1 + a^2), (1 - a^2)(1 + a^2), 1, 1, ...).  So
-    W = D^(1/2) L whitens the input, and n = 1 and 2 are the leading block.
+    predict from the stationary start that the simulator draws: row 1 is
+    (-rho, 1), and D = diag(d0, d1, 1, 1, ...), with (rho, d0, d1) from
+    ``stationary_start``.  So W = D^(1/2) L whitens the input.
     The terms of each entry of L' D L share one sign, so no entry cancels.
     """
     a = filt.kind.a
-    r = a * a
-    one = (1.0 - a) * (1.0 + a)
+    rho, *start = stationary_start(a)
     d = np.ones(n)
-    d[:2] = (one**3 / (1.0 + r), one * (1.0 + r))[:n]
-    low = np.eye(n) - 2.0 * a * np.eye(n, k=-1) + r * np.eye(n, k=-2)
-    low[1:2, 0] = -2.0 * a / (1.0 + r)
+    d[:2] = start[:n]
+    low = np.eye(n) - 2.0 * a * np.eye(n, k=-1) + a * a * np.eye(n, k=-2)
+    low[1:2, 0] = -rho
     # numpy division, so that an underflowed c_u^2 gives inf, not an exception
     return (low.T * d) @ low / np.float64(filt.kind.c_u) ** 2
 

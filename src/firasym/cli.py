@@ -513,6 +513,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FirasymError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # a simulated record beyond available memory
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -70,6 +70,8 @@ class ExperimentConfig:
                 raise ValueError(f"{path}: expected >= 1")
         if self.n_samples <= self.n:
             raise ValueError(f"N: expected > n ({self.n})")
+        if self.n_samples > 2**53:  # the theory divides by N, exact to 2^53
+            raise ValueError("N: expected <= 2**53")
         if self.system_type == "explicit":
             self.theta0 = np.asarray(self.theta0, dtype=float)
             if self.theta0.shape != (self.n,) or not np.isfinite(self.theta0).all():
@@ -440,7 +442,7 @@ def write_records_csv(
     (``repr``) and flags are written as 0/1."""
     with open(path, "w", newline="") as handle:
         write_header(handle, header)
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(csv_columns(p))
         names = [f.name for f in fields(RecordResult)]
         for r in records:

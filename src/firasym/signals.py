@@ -2,11 +2,11 @@
 
 The input process is u(t) = sum_k h(k) e(t-k) with i.i.d. unit-variance
 innovations e(t), filtered by the double-pole low-pass filter with impulse
-response h(k) = c_u * (k+1) * a^k.  It is drawn by that filter's own
-two-pole recursion in transposed direct form II, which makes the same
-roundings as ``scipy.signal.lfilter`` and so reproduces its output bit for
-bit without importing scipy.signal (with the scipy.stats it loads, ~0.7 s
-and ~25 MB per process).
+response h(k) = c_u * (k+1) * a^k.  It starts from two samples of its
+stationary law and runs by the filter's own two-pole recursion, which makes
+the roundings of ``scipy.signal.lfilter`` started from them, bit for bit,
+without importing scipy.signal (with the scipy.stats it loads, ~0.7 s and
+~25 MB per process).
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ import numpy as np
 from .errors import RankDeficientError
 
 RandomStream = np.random.Generator
-
-# Startup transients of the recursive filter are run down to this relative
-# magnitude before samples are kept.
-_BURN_IN_TOL = 1e-12
 
 
 def derive_stream(master_seed: int, *key: int) -> RandomStream:
@@ -160,36 +156,36 @@ def autocovariance(filt: FilterSpec, tau: int) -> float:
     return c_u**2 * a**t * (2.0 / one**3 + (t - 1.0) / one**2)
 
 
-def _burn_in_length(a: float) -> int:
-    if a == 0.0:
-        return 1
-    return int(math.ceil(math.log(_BURN_IN_TOL) / math.log(a)))
+def stationary_start(a: float) -> tuple[float, float, float]:
+    """(rho, d0, d1) of the input's stationary start (Brockwell and Davis,
+    1991): the first sample has variance c_u^2 / d0, and the second is rho
+    times the first plus an independent innovation of variance c_u^2 / d1."""
+    r = a * a
+    one = (1.0 - a) * (1.0 + a)
+    return 2.0 * a / (1.0 + r), one**3 / (1.0 + r), one * (1.0 + r)
 
 
 def generate_input(
     filt: FilterSpec, n: int, n_samples: int, rng: RandomStream
 ) -> np.ndarray:
-    """Draw the input u(t) for t = 1-n, ..., n_samples-1.
-
-    The filter is warmed up long enough that the startup transient is below
-    numerical noise, so the returned stretch is (numerically) stationary.
-    """
+    """Draw the input u(t) for t = 1-n, ..., n_samples-1 from as many normals:
+    u(1-n) and u(2-n) from the stationary law of ``stationary_start``, then
+    u(t) = c_u e(t) + (2a u(t-1) - a^2 u(t-2)), stationary at every pole."""
     if n < 1 or n_samples <= n:
         raise ValueError("need n >= 1 and n_samples > n")
-    kind = filt.kind
-    burn = _burn_in_length(kind.a)
-    e = rng.standard_normal(burn + n_samples + n - 1)
-    a1, a2 = -2.0 * kind.a, kind.a**2
-    # y = x + z0, z0 = z1 - y a1, z1 = -(y a2): lfilter's update for the
-    # denominator [1, a1, a2] and numerator [c_u, 0, 0]
-    y = []
-    z0 = z1 = 0.0
-    for x in (kind.c_u * e).tolist():
-        out = x + z0
-        z0 = z1 - out * a1
-        z1 = -(out * a2)
-        y.append(out)
-    return np.array(y[burn:])
+    a = filt.kind.a
+    rho, d0, d1 = stationary_start(a)
+    x = (filt.kind.c_u * rng.standard_normal(n_samples + n - 1)).tolist()
+    prev2 = x[0] / math.sqrt(d0)
+    prev = rho * prev2 + x[1] / math.sqrt(d1)
+    u = [prev2, prev]
+    two_a, a2 = 2.0 * a, a * a
+    # lfilter's transposed direct form II makes these roundings: its state
+    # is -(a^2 u(t-2)) + 2a u(t-1), and negation and doubling are exact
+    for x_t in x[2:]:
+        prev2, prev = prev, x_t + (two_a * prev - a2 * prev2)
+        u.append(prev)
+    return np.array(u)
 
 
 def lag_matrix(u: np.ndarray, n: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Reference code that only the tests read: the column-stacking operator,
 a 60-digit Sigma^-1 and Gram contraction, the kernel matrices by entrywise
 powers, a truncated impulse response with the finite series that check the
-double-pole closed forms against it, noise-free records, a 50-digit
-regularized estimate from a record's exact Phi'Phi and Phi'Y, and the
-per-record expansion of the scaled estimation errors, whose two
-decompositions hold as algebraic identities on simulated data."""
+double-pole closed forms against it, the zero-start input draw of earlier
+versions, noise-free records, a 50-digit regularized estimate from a
+record's exact Phi'Phi and Phi'Y, and the per-record expansion of the
+scaled estimation errors, whose two decompositions hold as algebraic
+identities on simulated data."""
 
 import math
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.signal import lfilter
 
 from firasym import (
     Dataset,
@@ -163,6 +165,16 @@ def series_autocovariance(h: np.ndarray, tau: int) -> float:
 def series_sigma(h: np.ndarray, n: int) -> np.ndarray:
     """Toeplitz input covariance Sigma of order n, summed from ``h``."""
     return toeplitz([series_autocovariance(h, t) for t in range(n)])
+
+
+def burn_in_input(filt: FilterSpec, n: int, n_samples: int, rng) -> np.ndarray:
+    """The input draw of earlier versions, on which the search's record bank
+    is pinned: the two-pole filter started from zero, and its first
+    ceil(log 1e-12 / log a) outputs (one at a = 0) dropped as burn-in."""
+    a = filt.kind.a
+    burn = 1 if a == 0.0 else math.ceil(math.log(1e-12) / math.log(a))
+    e = rng.standard_normal(burn + n_samples + n - 1)
+    return lfilter([filt.kind.c_u], [1.0, -2.0 * a, a**2], e)[burn:]
 
 
 def series_c_gamma(h: np.ndarray, n: int, kurtosis_ratio: float = 3.0) -> np.ndarray:

@@ -14,7 +14,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import firasym
@@ -413,6 +413,32 @@ class TestMcCommand:
         assert not (tmp_path / "records.csv").exists()
         assert not (tmp_path / "aggregates.json").exists()
 
+    @pytest.mark.parametrize("n_samples", [2**53 + 1, 1e17])
+    def test_record_length_beyond_exact_floats_is_refused(
+        self, tmp_path, capsys, n_samples
+    ):
+        # the theory divides by N in float64, where every N up to 2^53 is exact
+        cfg = write_config(tmp_path, dict(MC_CONFIG, N=n_samples))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "field N: expected <= 2**53" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
+
+    @pytest.mark.parametrize("command", ["mc", "table1"])
+    def test_record_beyond_memory_is_a_numerical_failure(
+        self, tmp_path, capsys, command
+    ):
+        # 2^53 samples take 64 PiB, beyond the 128 TiB user address space, so
+        # the allocation fails at once under any overcommit setting
+        cfg = write_config(tmp_path, dict(MC_CONFIG, N=2**53))
+        argv = {
+            "mc": ["mc", "--config", cfg],
+            "table1": ["table1", "--n", "3", "--N", str(2**53), "--records", "1"],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+        assert not [*tmp_path.glob("*.csv")]
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, MC_CONFIG)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -673,6 +699,19 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "trace_v_b_ar is inf at a = 0.98" in err and "N = 1000" in err
         assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_csv_artifacts_end_lines_with_lf(tmp_path):
+    # the header, the column names and the rows alike, in every CSV artifact
+    cfg = write_config(tmp_path, MC_CONFIG)
+    runs = {
+        "records.csv": ["mc", "--config", cfg],
+        "table1.csv": ["table1", "--a", "0.5", "--n", "4", "--N", "50", "--records", "2"],
+        "sweep.csv": ["sweep", "--grid-points", "3", "--n", "4", "--N", "50"],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert b"\r" not in read_bytes(tmp_path / name), name
 
 
 class TestFlagValidation:
@@ -1085,10 +1124,9 @@ class TestExitCodeContract:
             cfg = write_config(pathlib.Path(tmp), config)
             run_in(pathlib.Path(tmp, "asym"), ["asym", "--config", cfg])
 
-    # mc's pole stays at most 0.99: the simulated input's burn-in is
-    # log(1e-12) / log(a) samples, 2.8e7 at a = 1 - 1e-6
     @settings(derandomize=True, max_examples=30, deadline=None)
-    @given(a=st.floats(0.0, 0.99), cu2=LOG_SCALE, sigma2=LOG_SCALE)
+    @given(a=st.floats(0.0, 1.0, exclude_max=True), cu2=LOG_SCALE, sigma2=LOG_SCALE)
+    @example(a=0.9999999999999998, cu2=0.5, sigma2=1.0)
     def test_mc_and_sweep(self, a, cu2, sigma2):
         config = dict(MC_CONFIG, n=3, N=40, records=2, filters=[[a, cu2]])
         config["noise"] = {"sigma2": sigma2}
